@@ -47,10 +47,10 @@ var (
 
 	serveClients  = flag.Int("serve-clients", 1000, "serve: closed-loop simulated clients")
 	serveTenants  = flag.Int("serve-tenants", 4, "serve: tenant volumes")
-	serveConns    = flag.Int("serve-conns", 8, "serve: shared TCP connections per protocol")
-	serveDuration = flag.Duration("serve-duration", 5*time.Second, "serve: measured window per protocol")
+	serveConns    = flag.Int("serve-conns", 8, "serve: shared TCP connections")
+	serveDuration = flag.Duration("serve-duration", 5*time.Second, "serve: measured window")
 	serveDocs     = flag.Int("serve-docs", 300, "serve: corpus files per tenant volume")
-	serveNetDelay = flag.Duration("serve-net-delay", 2*time.Millisecond, "serve: emulated network round-trip paid by both protocols (0 = none)")
+	serveNetDelay = flag.Duration("serve-net-delay", 2*time.Millisecond, "serve: emulated network round-trip (0 = none)")
 	serveAddr     = flag.String("serve-addr", "", "serve: drive this external hacvold instead of an in-process server (tenants t0..tN-1 must exist)")
 	serveJSON     = flag.String("serve-json", "BENCH_serve.json", "serve experiment: write machine-readable results here (empty = skip)")
 
@@ -160,7 +160,7 @@ Experiments (default: all):
   obs           instrumentation overhead, on vs off    (EXPERIMENTS.md)
   compaction    Search latency under concurrent merge  (EXPERIMENTS.md)
   planner       cost-based planner vs naive pipeline   (EXPERIMENTS.md)
-  serve         multi-tenant serving, line vs mux      (EXPERIMENTS.md)
+  serve         multi-tenant serving over the mux      (EXPERIMENTS.md)
   cluster       sharded scatter-gather search scaling  (EXPERIMENTS.md)
   cas           content-addressed substrate: clone vs save, diff sync (EXPERIMENTS.md)
   trace         issue one traced search, render the distributed trace
@@ -460,16 +460,14 @@ func serveBench() error {
 		return err
 	}
 	w := newTab()
-	fmt.Fprintln(w, "Protocol\tConns\tOps\tThroughput\tp50\tp99\tp99.9")
-	for _, pr := range []bench.ServeProtoResult{res.Line, res.Mux} {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.0f op/s\t%s\t%s\t%s\n",
-			pr.Protocol, pr.Conns, pr.Ops, pr.Throughput, ms(pr.P50), ms(pr.P99), ms(pr.P999))
-	}
+	fmt.Fprintln(w, "Conns\tOps\tThroughput\tp50\tp99\tp99.9")
+	fmt.Fprintf(w, "%d\t%d\t%.0f op/s\t%s\t%s\t%s\n",
+		res.Conns, res.Ops, res.Throughput, ms(res.P50), ms(res.P99), ms(res.P999))
 	w.Flush()
-	fmt.Printf("mux throughput / line throughput: %.1fx (same connection count)\n\n", res.MuxSpeedup)
+	fmt.Println()
 	w = newTab()
-	fmt.Fprintln(w, "Tenant (mux)\tOps\tBackpressure\tp50\tp99\tp99.9")
-	for _, ts := range res.Mux.Tenants {
+	fmt.Fprintln(w, "Tenant\tOps\tBackpressure\tp50\tp99\tp99.9")
+	for _, ts := range res.Tenants {
 		fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%s\t%s\n",
 			ts.Tenant, ts.Ops, ts.Backpressure, ms(ts.P50), ms(ts.P99), ms(ts.P999))
 	}

@@ -9,16 +9,15 @@
 //	hacvold -tenant alice=alice.hac -tenant bob -save-dir /var/hac \
 //	        [-quota-bytes N] [-quota-docs N] [-quota-inflight N]
 //
-// Without -tenant flags one volume is served to every client, as
-// before. Each -tenant flag adds an isolated volume under that name
-// (loaded from the given image, or fresh); clients address tenants
-// over the multiplexed binary protocol, and legacy clients reach the
-// first tenant. Quota flags bound every tenant; -save-dir checkpoints
-// each tenant to <dir>/<name>.hac.
+// Without -tenant flags one volume is served to every client. Each
+// -tenant flag adds an isolated volume under that name (loaded from the
+// given image, or fresh); clients address a tenant by name in each
+// request, and a request that names none reaches the first tenant.
+// Quota flags bound every tenant; -save-dir checkpoints each tenant to
+// <dir>/<name>.hac.
 //
-// Connections speak either the legacy gob protocol or the multiplexed
-// binary framing — the server sniffs the first bytes, so old clients
-// keep working unchanged.
+// Connections speak the multiplexed binary framing of internal/wire; a
+// connection that does not open with its hello is closed.
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops
 // accepting connections, drains in-flight requests (new ones fail with

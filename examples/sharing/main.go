@@ -38,7 +38,7 @@ func main() {
 	bobUnder := hacfs.NewMemFS()
 	bob := hacfs.New(bobUnder)
 	must("bob mkdir /net/alice", bob.MkdirAll("/net/alice"))
-	must("bob mount", bobUnder.Mount("/net/alice", remotefs.Dial(l.Addr().String())))
+	must("bob mount", bobUnder.Mount("/net/alice", remotefs.DialMux(l.Addr().String())))
 
 	fmt.Println("Bob browses Alice's curated classification over the network:")
 	entries, err := bob.ReadDir("/net/alice/fingerprint")

@@ -26,7 +26,7 @@
 // Volumes and evaluation passes are configured with functional options:
 //
 //	fs := hacfs.New(hacfs.NewMemFS(),
-//	        hacfs.WithParallelism(0),  // 0 = NumCPU workers
+//	        hacfs.WithParallelism(0),  // 0 = GOMAXPROCS workers
 //	        hacfs.WithVerify(true))
 //	fs.Reindex("/")                               // parallel tokenize
 //	fs.SyncAll(hacfs.WithParallelism(1))          // serial, this pass only
@@ -81,7 +81,7 @@ type Option = hac.Option
 // Functional options.
 var (
 	// WithParallelism sets the worker count for Reindex tokenization
-	// and within-level query re-evaluation (0 = NumCPU, 1 = serial).
+	// and within-level query re-evaluation (0 = GOMAXPROCS, 1 = serial).
 	WithParallelism = hac.WithParallelism
 	// WithVerify toggles Glimpse-style verification of query matches.
 	WithVerify = hac.WithVerify
@@ -226,8 +226,7 @@ var (
 	ErrShuttingDown  = vfs.ErrShuttingDown
 	// ErrShardUnavailable marks a cluster search that lost a shard: no
 	// replica of it answered (DESIGN.md §14). Delivered as a
-	// *vfs.PathError whose Path names the shard, through both wire
-	// protocols.
+	// *vfs.PathError whose Path names the shard, over the wire.
 	ErrShardUnavailable = vfs.ErrShardUnavailable
 )
 
@@ -282,8 +281,8 @@ type CrashWriter = vfs.CrashWriter
 // DialRemote connects to a remote CBA server (cmd/hacindexd) and
 // returns a Namespace that can be passed to FS.SemanticMount. name
 // becomes the namespace name inside the volume.
-func DialRemote(name, addr string) *remote.Client {
-	return remote.Dial(name, addr)
+func DialRemote(name, addr string) *remote.BinClient {
+	return remote.DialBin(name, addr)
 }
 
 // ServeIndex starts serving the tree at root in fsys over the remote
@@ -330,8 +329,8 @@ func LoadVolumeFile(path string, opts Options) (*FS, error) {
 // ServeFS) and returns a FileSystem view of it. The result composes
 // with everything local: mount it into a MemFS with Mount, or use it
 // as the substrate of a local HAC layer.
-func DialFS(addr string) *remotefs.Client {
-	return remotefs.Dial(addr)
+func DialFS(addr string) *remotefs.MuxClient {
+	return remotefs.DialMux(addr)
 }
 
 // ServeFS exports a file system — typically a live HAC volume — on

@@ -2,8 +2,11 @@ package hacfs_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +18,7 @@ import (
 	"hacfs/internal/remote"
 	"hacfs/internal/remotefs"
 	"hacfs/internal/vfs"
+	"hacfs/internal/wire"
 )
 
 // TestFullStack drives every subsystem in one scenario: a corpus-backed
@@ -132,7 +136,7 @@ func TestFullStack(t *testing.T) {
 	if err := fs.MkdirAll("/library"); err != nil {
 		t.Fatal(err)
 	}
-	lib := remote.Dial("lib", cbaL.Addr().String())
+	lib := remote.DialBin("lib", cbaL.Addr().String())
 	defer lib.Close()
 	if err := fs.SemanticMount("/library", lib); err != nil {
 		t.Fatal(err)
@@ -289,5 +293,76 @@ func TestSchedulerWithRemoteVolume(t *testing.T) {
 	targets, err := fs.LinkTargets("/sel")
 	if err != nil || len(targets) != 1 {
 		t.Fatalf("targets = %v, %v", targets, err)
+	}
+}
+
+// TestDialFSSurvivesServerSideClose: when the server drops a DialFS
+// client's connection (a restart or a drain), the client's next read
+// succeeds; the read lost with the old connection is re-sent on a new
+// one.
+func TestDialFSSurvivesServerSideClose(t *testing.T) {
+	backing := vfs.New()
+	if err := backing.WriteFile("/f.txt", []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 4)
+	srv := remotefs.NewServer(backing, nil)
+	go srv.Serve(connRecorder{l, accepted})
+	defer srv.Close()
+
+	c := hacfs.DialFS(l.Addr().String())
+	defer c.Close()
+	if _, err := c.ReadFile("/f.txt"); err != nil {
+		t.Fatal(err)
+	}
+	(<-accepted).Close()
+	if data, err := c.ReadFile("/f.txt"); err != nil || string(data) != "kept" {
+		t.Fatalf("ReadFile after a server-side close = %q, %v", data, err)
+	}
+}
+
+// connRecorder hands every accepted connection to a channel, so a test
+// can close it from the server side.
+type connRecorder struct {
+	net.Listener
+	accepted chan<- net.Conn
+}
+
+func (l connRecorder) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- c
+	}
+	return c, err
+}
+
+// TestDialFSTimesOutOnSilentServer: a server that completes the hello
+// and then never answers fails a DialFS call after the client's
+// timeout instead of blocking it forever.
+func TestDialFSTimesOutOnSilentServer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		wire.ReadHello(conn)
+		wire.WriteHello(conn, wire.Version)
+		io.Copy(io.Discard, conn) // read requests, answer none
+	}()
+	c := hacfs.DialFS(l.Addr().String())
+	defer c.Close()
+	c.SetTimeout(200 * time.Millisecond)
+	if _, err := c.Stat("/anything"); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Stat on a silent server: err = %v, want a deadline error", err)
 	}
 }

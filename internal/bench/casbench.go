@@ -292,7 +292,7 @@ func casSyncSweep(spec CASSpec, res *CASResult) error {
 	}
 	go srv.Serve(l)
 	defer srv.Close()
-	client := remotefs.Dial(l.Addr().String())
+	client := remotefs.DialMux(l.Addr().String())
 	defer client.Close()
 	ctx := context.Background()
 

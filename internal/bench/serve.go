@@ -19,19 +19,18 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Multi-tenant serving — closed-loop load, line protocol vs mux
+// Multi-tenant serving — closed-loop load over the mux
 // ---------------------------------------------------------------------
 
 // ServeSpec configures the closed-loop load experiment: Clients
 // simulated clients spread over Tenants tenants drive mixed
-// read/search/sync traffic through Conns shared TCP connections —
-// once over the legacy one-request-at-a-time protocol, once over the
-// multiplexed binary framing — against a multi-tenant server.
+// read/search/sync traffic through Conns shared multiplexed TCP
+// connections against a multi-tenant server.
 type ServeSpec struct {
 	Clients       int           // closed-loop client goroutines (default 1000)
 	Tenants       int           // hosted volumes (default 4)
-	Conns         int           // shared connections per protocol (default 8)
-	Duration      time.Duration // measured window per protocol (default 5s)
+	Conns         int           // shared connections (default 8)
+	Duration      time.Duration // measured window (default 5s)
 	DocsPerTenant int           // corpus size per tenant volume (default 300)
 	NetDelay      time.Duration // emulated network round-trip (default 2ms, <0 disables)
 	Seed          int64
@@ -47,9 +46,6 @@ func (s ServeSpec) withDefaults() ServeSpec {
 	}
 	if s.Conns <= 0 {
 		s.Conns = 8
-	}
-	if s.Conns < s.Tenants {
-		s.Conns = s.Tenants // the line protocol pins each conn to a tenant
 	}
 	if s.Duration <= 0 {
 		s.Duration = 5 * time.Second
@@ -69,7 +65,7 @@ func (s ServeSpec) withDefaults() ServeSpec {
 	return s
 }
 
-// ServeTenantStats is one tenant's view of one protocol run.
+// ServeTenantStats is one tenant's view of the run.
 type ServeTenantStats struct {
 	Tenant       string
 	Ops          int64
@@ -80,18 +76,6 @@ type ServeTenantStats struct {
 	P999         time.Duration
 }
 
-// ServeProtoResult is one protocol's aggregate.
-type ServeProtoResult struct {
-	Protocol   string // "line" or "mux"
-	Conns      int
-	Ops        int64
-	Throughput float64 // ops per second
-	P50        time.Duration
-	P99        time.Duration
-	P999       time.Duration
-	Tenants    []ServeTenantStats
-}
-
 // ServeResult is the whole experiment, written to BENCH_serve.json.
 type ServeResult struct {
 	Clients       int
@@ -99,26 +83,18 @@ type ServeResult struct {
 	Conns         int
 	DocsPerTenant int
 	Duration      time.Duration
-	NetDelay      time.Duration // emulated network round-trip paid by both protocols
+	NetDelay      time.Duration // emulated network round-trip
 
-	Line ServeProtoResult
-	Mux  ServeProtoResult
+	Ops        int64
+	Throughput float64 // ops per second
+	P50        time.Duration
+	P99        time.Duration
+	P999       time.Duration
+	Tenants    []ServeTenantStats
 
-	// MuxSpeedup is mux throughput over line throughput at equal
-	// connection count.
-	MuxSpeedup float64
-	// FairnessP99Ratio is the worst per-tenant p99 over the best, in
-	// the mux run — 1.0 is perfectly fair scheduling.
+	// FairnessP99Ratio is the worst per-tenant p99 over the best — 1.0
+	// is perfectly fair scheduling.
 	FairnessP99Ratio float64
-}
-
-// opClient is the per-tenant view a load goroutine drives; both
-// protocol clients satisfy it.
-type opClient interface {
-	ReadFile(path string) ([]byte, error)
-	SearchPage(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error)
-	SyncPath(path string) error
-	WriteFile(path string, data []byte) error
 }
 
 // ServeLoad runs the experiment. With spec.Addr empty it boots an
@@ -153,12 +129,11 @@ func ServeLoad(spec ServeSpec) (*ServeResult, error) {
 		return nil, err
 	}
 
-	// Loopback has no meaningful round-trip time, which is precisely
-	// what a line protocol is bound by — so, like the I/O benchmarks'
-	// emulated device latency, the load runs through a proxy that
-	// delays every byte by half the configured RTT in each direction
-	// (latency only: delivery is pipelined, bandwidth is unconstrained).
-	// Both protocols pay it equally.
+	// Loopback has no meaningful round-trip time, so, like the I/O
+	// benchmarks' emulated device latency, the load runs through a
+	// proxy that delays every byte by half the configured RTT in each
+	// direction (latency only: delivery is pipelined, bandwidth is
+	// unconstrained).
 	if spec.NetDelay > 0 {
 		proxyAddr, stopProxy, err := startDelayProxy(addr, spec.NetDelay/2)
 		if err != nil {
@@ -176,23 +151,10 @@ func ServeLoad(spec ServeSpec) (*ServeResult, error) {
 		Duration:      spec.Duration,
 		NetDelay:      spec.NetDelay,
 	}
+	runMux(spec, addr, tenantNames, docs, res)
 
-	line, err := runProto(spec, "line", addr, tenantNames, docs)
-	if err != nil {
-		return nil, err
-	}
-	res.Line = *line
-	mux, err := runProto(spec, "mux", addr, tenantNames, docs)
-	if err != nil {
-		return nil, err
-	}
-	res.Mux = *mux
-
-	if res.Line.Throughput > 0 {
-		res.MuxSpeedup = res.Mux.Throughput / res.Line.Throughput
-	}
 	var worst, best time.Duration
-	for _, t := range res.Mux.Tenants {
+	for _, t := range res.Tenants {
 		if t.P99 > worst {
 			worst = t.P99
 		}
@@ -265,8 +227,7 @@ func seedOverWire(spec ServeSpec, addr string, tenantNames []string) (map[string
 // backend, delivering each byte oneWay later than it was read. Reads
 // and delayed writes are decoupled through a queue, so the delay is
 // pure latency — many requests can be in the pipe at once, which is
-// exactly the property a multiplexed protocol exploits and a
-// one-request-at-a-time protocol cannot.
+// exactly the property a multiplexed protocol exploits.
 func startDelayProxy(backend string, oneWay time.Duration) (string, func(), error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -341,46 +302,22 @@ func relayDelayed(dst, src net.Conn, oneWay time.Duration) {
 	}
 }
 
-// runProto drives one closed-loop phase over one protocol. Clients are
-// split evenly across tenants; connections are split evenly too, so
-// both protocols get exactly spec.Conns TCP connections.
-func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map[string][]string) (*ServeProtoResult, error) {
+// runMux drives the closed-loop phase and records its aggregate in
+// res. Clients are split evenly across tenants, and every tenant's
+// clients spread over all spec.Conns shared connections through tenant
+// views, as the mux lets any tenant ride any connection.
+func runMux(spec ServeSpec, addr string, tenantNames []string, docs map[string][]string, res *ServeResult) {
 	nT := len(tenantNames)
-	connsPerTenant := spec.Conns / nT
-	if connsPerTenant == 0 {
-		connsPerTenant = 1
-	}
-
-	// Build the shared connection pool: per tenant, connsPerTenant
-	// transport clients. The line protocol pins a connection to one
-	// tenant; the mux shares the same physical conns via tenant views,
-	// but to keep connection counts equal we give it the same layout.
-	pool := make(map[string][]opClient, nT)
-	var closers []func() error
-	for _, name := range tenantNames {
-		for i := 0; i < connsPerTenant; i++ {
-			switch proto {
-			case "line":
-				c := remotefs.Dial(addr)
-				c.SetTimeout(30 * time.Second)
-				c.SetTenant(name)
-				c.SetObserver(obs.Discard())
-				pool[name] = append(pool[name], c)
-				closers = append(closers, c.Close)
-			case "mux":
-				m := remotefs.DialMux(addr)
-				m.SetTimeout(30 * time.Second)
-				m.SetObserver(obs.Discard())
-				pool[name] = append(pool[name], m.Tenant(name))
-				closers = append(closers, m.Close)
-			}
+	views := make([][]*remotefs.MuxClient, spec.Conns) // [conn][tenant]
+	for i := range views {
+		m := remotefs.DialMux(addr)
+		m.SetTimeout(30 * time.Second)
+		m.SetObserver(obs.Discard())
+		defer m.Close()
+		for _, name := range tenantNames {
+			views[i] = append(views[i], m.Tenant(name))
 		}
 	}
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
 
 	type clientStats struct {
 		lat          []time.Duration
@@ -398,11 +335,10 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 	for g := 0; g < spec.Clients; g++ {
 		ti := g % nT
 		tenantOf[g] = ti
-		name := tenantNames[ti]
-		conn := pool[name][(g/nT)%len(pool[name])]
-		paths := docs[name]
+		conn := views[(g/nT)%spec.Conns][ti]
+		paths := docs[tenantNames[ti]]
 		wg.Add(1)
-		go func(g int, c opClient, paths []string) {
+		go func(g int, c *remotefs.MuxClient, paths []string) {
 			defer wg.Done()
 			st := &stats[g]
 			<-begin
@@ -444,7 +380,6 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 	elapsed := time.Duration(time.Now().UnixNano() - start.Load())
 
 	// Aggregate: global and per tenant.
-	out := &ServeProtoResult{Protocol: proto, Conns: connsPerTenant * nT}
 	var all []time.Duration
 	perTenant := make([][]time.Duration, nT)
 	tErrs := make([]int64, nT)
@@ -456,13 +391,13 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 		tErrs[ti] += stats[g].errs
 		tBP[ti] += stats[g].backpressure
 	}
-	out.Ops = int64(len(all))
-	out.Throughput = float64(len(all)) / elapsed.Seconds()
-	out.P50 = percentile(all, 0.50)
-	out.P99 = percentile(all, 0.99)
-	out.P999 = percentile(all, 0.999)
+	res.Ops = int64(len(all))
+	res.Throughput = float64(len(all)) / elapsed.Seconds()
+	res.P50 = percentile(all, 0.50)
+	res.P99 = percentile(all, 0.99)
+	res.P999 = percentile(all, 0.999)
 	for ti, name := range tenantNames {
-		out.Tenants = append(out.Tenants, ServeTenantStats{
+		res.Tenants = append(res.Tenants, ServeTenantStats{
 			Tenant:       name,
 			Ops:          int64(len(perTenant[ti])),
 			Errors:       tErrs[ti],
@@ -472,6 +407,5 @@ func runProto(spec ServeSpec, proto, addr string, tenantNames []string, docs map
 			P999:         percentile(perTenant[ti], 0.999),
 		})
 	}
-	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Tenant < out.Tenants[j].Tenant })
-	return out, nil
+	sort.Slice(res.Tenants, func(i, j int) bool { return res.Tenants[i].Tenant < res.Tenants[j].Tenant })
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hacfs/internal/hac"
+	"hacfs/internal/wire"
 )
 
 // Network form of the §3.2 central database: users publish the names,
@@ -43,74 +44,23 @@ type catResponse struct {
 
 // Server exposes a Catalog over TCP.
 type Server struct {
+	*wire.ConnServer
 	cat    *Catalog
 	logger *log.Logger
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer wraps a catalog (use New() for a fresh one). logger may be
 // nil.
 func NewServer(cat *Catalog, logger *log.Logger) *Server {
-	return &Server{cat: cat, logger: logger, conns: make(map[net.Conn]struct{})}
+	s := &Server{cat: cat, logger: logger}
+	s.ConnServer = wire.NewConnServer(s.serveConn)
+	return s
 }
 
 // Catalog returns the served catalog.
 func (s *Server) Catalog() *Catalog { return s.cat }
 
-// Serve accepts connections until Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops the server.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
 func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {

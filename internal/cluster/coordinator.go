@@ -87,10 +87,10 @@ type state struct {
 }
 
 // Coordinator fans Search, Resync and Fetch out to the cluster's
-// shards (DESIGN.md §14). It implements the remote server's backend
-// interfaces, so `remote.NewServer(coord, …)` serves the whole cluster
-// behind the ordinary single-node wire protocols — clients cannot tell
-// a coordinator from a big shard, except that it is faster.
+// shards (DESIGN.md §14). It implements remote.Backend, so
+// `remote.NewServer(coord, …)` serves the whole cluster behind the
+// ordinary single-node wire protocol — clients cannot tell a
+// coordinator from a big shard, except that it is faster.
 type Coordinator struct {
 	opts    Options
 	st      atomic.Pointer[state]
@@ -427,25 +427,12 @@ func (c *Coordinator) searchScatter(ctx context.Context, q, scope string) (_ []s
 	return out, rep, nil
 }
 
-// Search implements remote.Backend: an unpaged, unscoped cluster-wide
-// search.
-func (c *Coordinator) Search(q string) ([]string, error) {
-	out, _, err := c.searchScatter(context.Background(), q, "/")
-	return out, err
-}
-
-// SearchUnder is Search restricted to a scope subtree, with the
-// caller's context propagated to every shard.
+// SearchUnder is an unpaged cluster-wide search restricted to a scope
+// subtree ("/" = everywhere), with the caller's context propagated to
+// every shard.
 func (c *Coordinator) SearchUnder(ctx context.Context, q, scope string) ([]string, error) {
 	out, _, err := c.searchScatter(ctx, q, scope)
 	return out, err
-}
-
-// SearchPage implements remote.PagedBackend via the composite cursor
-// machinery (cursor.go).
-func (c *Coordinator) SearchPage(q string, after uint64, limit int) ([]string, uint64, error) {
-	paths, next, _, err := c.SearchPageUnder(context.Background(), q, "/", after, limit)
-	return paths, next, err
 }
 
 // Fetch implements remote.Backend: route the path to its owning shard
@@ -469,7 +456,7 @@ func (c *Coordinator) FetchContext(ctx context.Context, path string) (data []byt
 	return data, nil
 }
 
-// Resync implements remote.Resyncer: reindex every replica of every
+// Resync implements remote.Backend: reindex every replica of every
 // shard (replicas are independent daemons, each owning its own index).
 // Shards proceed concurrently, but within a shard replicas resync one
 // at a time, separated by the jittered ResyncStagger pause — at most
@@ -539,7 +526,7 @@ func (c *Coordinator) staggerWait(ctx context.Context) error {
 	}
 }
 
-// Status implements remote.StatusBackend, aggregating across shards:
+// Status implements remote.Backend, aggregating across shards:
 // the epoch is the minimum over shards (the weakest pin a cluster-wide
 // query can rely on), version and document count are sums. Best
 // effort — unreachable shards contribute nothing.

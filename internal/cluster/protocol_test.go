@@ -14,10 +14,10 @@ import (
 
 // TestTypedErrorsCrossBothProtocols drives a real remote.Server over a
 // coordinator whose only shard is unreachable, and asserts that both
-// wire protocols — the legacy line protocol and the binary mux —
-// deliver the failure to the client as a *vfs.PathError wrapping
-// vfs.ErrShardUnavailable, never as a raw transport error or anonymous
-// string.
+// search forms of the binary protocol — the whole-result stream and the
+// one-page call — deliver the failure to the client as a
+// *vfs.PathError wrapping vfs.ErrShardUnavailable, never as a raw
+// transport error or anonymous string.
 func TestTypedErrorsCrossBothProtocols(t *testing.T) {
 	// An address that refuses connections: grab a port, then free it.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -65,15 +65,6 @@ func TestTypedErrorsCrossBothProtocols(t *testing.T) {
 		}
 	}
 
-	t.Run("legacy line protocol", func(t *testing.T) {
-		cl := remote.Dial("test", addr)
-		defer cl.Close()
-		_, err := cl.Search("anything")
-		check(t, err)
-		_, _, _, err = cl.SearchPageUnder(context.Background(), "anything", "/", 0, 10)
-		check(t, err)
-	})
-
 	t.Run("binary mux protocol", func(t *testing.T) {
 		cl := remote.DialBin("test", addr)
 		defer cl.Close()
@@ -86,49 +77,41 @@ func TestTypedErrorsCrossBothProtocols(t *testing.T) {
 
 // TestMidQueryShardLossIsTyped boots one real shard behind the
 // coordinator, kills it mid-cursor, and asserts the client-visible
-// failure on the next page is typed — through both protocols.
+// failure on the next page is typed.
 func TestMidQueryShardLossIsTyped(t *testing.T) {
-	for _, proto := range []string{"line", "mux"} {
-		t.Run(proto, func(t *testing.T) {
-			f := newFake(1, "/s0/a.txt", "/s0/b.txt", "/s0/c.txt", "/s0/d.txt")
-			coord := fleet(t, "shard 0 a:1\nroute /s0 0", map[int][]*fakeConn{0: {f}},
-				Options{PageSize: 2, Timeout: 100 * time.Millisecond, Cooldown: time.Millisecond})
+	t.Run("mux", func(t *testing.T) {
+		f := newFake(1, "/s0/a.txt", "/s0/b.txt", "/s0/c.txt", "/s0/d.txt")
+		coord := fleet(t, "shard 0 a:1\nroute /s0 0", map[int][]*fakeConn{0: {f}},
+			Options{PageSize: 2, Timeout: 100 * time.Millisecond, Cooldown: time.Millisecond})
 
-			srv := remote.NewServer(coord, nil)
-			srv.SetObserver(obs.NewObserver())
-			sl, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve(sl)
-			defer srv.Close()
+		srv := remote.NewServer(coord, nil)
+		srv.SetObserver(obs.NewObserver())
+		sl, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(sl)
+		defer srv.Close()
 
-			search := func(after uint64) ([]string, uint64, error) {
-				if proto == "line" {
-					cl := remote.Dial("test", sl.Addr().String())
-					defer cl.Close()
-					paths, next, _, err := cl.SearchPageUnder(context.Background(), "q", "/s0", after, 2)
-					return paths, next, err
-				}
-				cl := remote.DialBin("test", sl.Addr().String())
-				defer cl.Close()
-				paths, next, _, err := cl.SearchPageUnder(context.Background(), "q", "/s0", after, 2)
-				return paths, next, err
-			}
+		search := func(after uint64) ([]string, uint64, error) {
+			cl := remote.DialBin("test", sl.Addr().String())
+			defer cl.Close()
+			paths, next, _, err := cl.SearchPageUnder(context.Background(), "q", "/s0", after, 2)
+			return paths, next, err
+		}
 
-			paths, next, err := search(0)
-			if err != nil || len(paths) != 2 || next == 0 {
-				t.Fatalf("first page: %v next=%d err=%v", paths, next, err)
-			}
-			f.failDial.Store(true) // the shard dies mid-cursor
-			_, _, err = search(next)
-			if !errors.Is(err, vfs.ErrShardUnavailable) {
-				t.Fatalf("mid-query loss err = %v, want ErrShardUnavailable", err)
-			}
-			var pe *vfs.PathError
-			if !errors.As(err, &pe) {
-				t.Fatalf("mid-query loss err = %#v, want *vfs.PathError", err)
-			}
-		})
-	}
+		paths, next, err := search(0)
+		if err != nil || len(paths) != 2 || next == 0 {
+			t.Fatalf("first page: %v next=%d err=%v", paths, next, err)
+		}
+		f.failDial.Store(true) // the shard dies mid-cursor
+		_, _, err = search(next)
+		if !errors.Is(err, vfs.ErrShardUnavailable) {
+			t.Fatalf("mid-query loss err = %v, want ErrShardUnavailable", err)
+		}
+		var pe *vfs.PathError
+		if !errors.As(err, &pe) {
+			t.Fatalf("mid-query loss err = %#v, want *vfs.PathError", err)
+		}
+	})
 }

@@ -42,7 +42,7 @@ type evalConfig struct {
 }
 
 // WithParallelism sets the worker count for Reindex tokenization and
-// for within-level query re-evaluation. 0 selects runtime.NumCPU();
+// for within-level query re-evaluation. 0 selects runtime.GOMAXPROCS(0);
 // 1 disables concurrency.
 func WithParallelism(n int) Option {
 	return func(c *config) {
@@ -104,7 +104,7 @@ func WithTransducer(ext string, t index.Transducer) Option {
 // one.
 func resolveParallelism(n int) int {
 	if n <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return n
 }

@@ -127,7 +127,7 @@ type Options struct {
 	VerifyMatches bool
 	// Parallelism is the default worker count for Reindex tokenization
 	// and within-level query re-evaluation (see engine.go). 0 selects
-	// runtime.NumCPU(); 1 keeps every pass serial. Per-pass overrides
+	// runtime.GOMAXPROCS(0); 1 keeps every pass serial. Per-pass overrides
 	// are available via WithParallelism.
 	Parallelism int
 	// RemoteTimeout bounds each dial/RPC issued to a mounted remote
@@ -189,7 +189,7 @@ type FS struct {
 	attrs         *attrCache
 	fds           *fdTable
 	verify        bool
-	par           int // default evaluation parallelism (0 = NumCPU)
+	par           int // default evaluation parallelism (0 = GOMAXPROCS)
 	remoteTimeout time.Duration
 	autoSync      autoSyncSet
 

@@ -438,7 +438,7 @@ type IndexReport struct {
 // the paper's Table 3 setup.
 //
 // Files are read and tokenized by a pool of cfg.parallelism workers
-// (WithParallelism, default Options.Parallelism, 0 = NumCPU); index
+// (WithParallelism, default Options.Parallelism, 0 = GOMAXPROCS); index
 // insertion stays single-writer in walk order, so document IDs — and
 // therefore all downstream bitmaps — are identical to a serial run.
 func (fs *FS) Reindex(root string, opts ...Option) (IndexReport, error) {

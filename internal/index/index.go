@@ -63,7 +63,9 @@ type docEntry struct {
 // sealed segments never change their docs slice length or their
 // postings — only the tombstone state (dead, deadCount) and the doc
 // entries' path/modTime fields (renames) move under the index write
-// lock. A segment produced by a merge additionally carries prev, the
+// lock. The dead bitmap is copy-on-write once a snapshot has pinned it
+// (deadPinned), so a pinned snapshot keeps the tombstones of its pin
+// time. A segment produced by a merge additionally carries prev, the
 // pre-merge DocID of each local slot, so snapshots pinned before the
 // merge can map current IDs back into their own segment set.
 type segment struct {
@@ -73,9 +75,13 @@ type segment struct {
 	dirs      map[string]*bitset.Container // ancestor dir → local slots beneath it (dirs.go)
 	dead      *bitset.Bitmap               // tombstoned local slots
 	deadCount int
-	sealed    bool
-	prev      []DocID  // merge provenance: local → pre-merge DocID (nil unless merged)
-	dict      termDict // lazy sorted/length-bucketed vocabulary (dict.go); sealed only
+	// deadPinned is set when a snapshot holds the current dead bitmap;
+	// the next tombstone then replaces the bitmap instead of mutating
+	// it. Set under ix.mu read lock, cleared under the write lock.
+	deadPinned atomic.Bool
+	sealed     bool
+	prev       []DocID  // merge provenance: local → pre-merge DocID (nil unless merged)
+	dict       termDict // lazy sorted/length-bucketed vocabulary (dict.go); sealed only
 }
 
 func newSegment(id uint32) *segment {
@@ -322,6 +328,12 @@ func (ix *Index) tombstoneLocked(id DocID) {
 		return
 	}
 	s.docs[local].alive = false
+	if s.deadPinned.Load() {
+		// A snapshot holds this bitmap: copy once, then mutate the copy
+		// for the rest of this write-lock hold.
+		s.dead = s.dead.Clone()
+		s.deadPinned.Store(false)
+	}
 	s.dead.Add(local)
 	s.deadCount++
 	ix.liveDocs--
@@ -357,6 +369,11 @@ func (ix *Index) RenamePath(oldPath, newPath string) bool {
 		return false
 	}
 	delete(ix.byPath, oldPath)
+	// A rename replaces whatever was at the destination; leaving its
+	// document live would index the path twice.
+	if dst, ok := ix.byPath[newPath]; ok && dst != id {
+		ix.tombstoneLocked(dst)
+	}
 	s.dirsRename(s.docs[local].path, newPath, local)
 	s.docs[local].path = newPath
 	ix.byPath[newPath] = id
@@ -387,6 +404,9 @@ func (ix *Index) RenamePrefix(oldRoot, newRoot string) int {
 		}
 		np := newRoot + m.old[len(oldRoot):]
 		delete(ix.byPath, m.old)
+		if dst, ok := ix.byPath[np]; ok && dst != m.id {
+			ix.tombstoneLocked(dst)
+		}
 		s.dirsRename(s.docs[local].path, np, local)
 		s.docs[local].path = np
 		ix.byPath[np] = m.id
@@ -660,7 +680,15 @@ func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int)
 		doc preparedDoc
 		err error
 	}
+	// A chunk becomes one sealed segment, so it may not outgrow the seal
+	// threshold: the segment layout then follows SetSealThreshold on any
+	// worker count, as the serial path's does.
 	chunk := 32 * workers
+	ix.mu.RLock()
+	if chunk > ix.sealThreshold {
+		chunk = ix.sealThreshold
+	}
+	ix.mu.RUnlock()
 	preps := make([]prep, chunk)
 	for lo := 0; lo < len(jobs); lo += chunk {
 		hi := lo + chunk
@@ -692,6 +720,12 @@ func (ix *Index) SyncTreeParallel(fsys vfs.FileSystem, root string, workers int)
 		docs := make([]preparedDoc, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			p := &preps[i-lo]
+			if errors.Is(p.err, vfs.ErrNotExist) {
+				// Removed or renamed away since the walk: a removal.
+				delete(seen, jobs[i].path)
+				*p = prep{}
+				continue
+			}
 			if p.err != nil {
 				return added, updated, removed, p.err
 			}
@@ -798,6 +832,12 @@ func (ix *Index) SyncTree(fsys vfs.FileSystem, root string) (added, updated, rem
 			return nil
 		}
 		content, err := fsys.ReadFile(p)
+		if errors.Is(err, vfs.ErrNotExist) {
+			// Removed or renamed away since the walk saw it: treat it as
+			// a removal, which removeVanished applies below.
+			delete(seen, p)
+			return nil
+		}
 		if err != nil {
 			return err
 		}

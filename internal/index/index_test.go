@@ -477,3 +477,117 @@ func BenchmarkLookup(b *testing.B) {
 		ix.Lookup("common")
 	}
 }
+
+// vanishingFS removes a chosen file just before reading it, as if a
+// concurrent rename moved it between the walk's Lstat and the read.
+type vanishingFS struct {
+	vfs.FileSystem
+	victim string
+}
+
+func (f *vanishingFS) ReadFile(p string) ([]byte, error) {
+	if p == f.victim {
+		if err := f.FileSystem.Remove(p); err != nil {
+			return nil, err
+		}
+	}
+	return f.FileSystem.ReadFile(p)
+}
+
+// TestSyncTreeVanishedFileIsRemoval checks that a file which disappears
+// between the walk and its read is a removal, not a fatal Reindex
+// error, on the serial and the parallel path alike.
+func TestSyncTreeVanishedFileIsRemoval(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			mem := vfs.New()
+			clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+			mem.SetClock(func() time.Time { return clock })
+			if err := mem.MkdirAll("/d"); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []string{"/d/keep", "/d/old"} {
+				if err := mem.WriteFile(p, []byte("apple")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix := New()
+			if _, _, _, err := ix.SyncTreeParallel(mem, "/d", workers); err != nil {
+				t.Fatal(err)
+			}
+
+			// An indexed, now stale file vanishes before it is read: it
+			// is removed. Then a new file does the same: it is skipped.
+			clock = clock.Add(time.Minute)
+			if err := mem.WriteFile("/d/old", []byte("apple again")); err != nil {
+				t.Fatal(err)
+			}
+			added, updated, removed, err := ix.SyncTreeParallel(&vanishingFS{mem, "/d/old"}, "/d", workers)
+			if err != nil || added != 0 || updated != 0 || removed != 1 {
+				t.Fatalf("stale file vanishing: %d/%d/%d, %v; want 0/0/1", added, updated, removed, err)
+			}
+			if err := mem.WriteFile("/d/new", []byte("apple new")); err != nil {
+				t.Fatal(err)
+			}
+			added, updated, removed, err = ix.SyncTreeParallel(&vanishingFS{mem, "/d/new"}, "/d", workers)
+			if err != nil || added != 0 || updated != 0 || removed != 0 {
+				t.Fatalf("new file vanishing: %d/%d/%d, %v; want 0/0/0", added, updated, removed, err)
+			}
+			snap := ix.Snapshot()
+			if got, want := snap.Paths(snap.Lookup("apple")), []string{"/d/keep"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("Lookup(apple) = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestSyncTreeParallelHonoursSealThreshold checks that the parallel
+// path never builds a segment larger than the seal threshold, so the
+// segment layout does not depend on the worker count.
+func TestSyncTreeParallelHonoursSealThreshold(t *testing.T) {
+	mem := vfs.New()
+	if err := mem.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		if err := mem.WriteFile(fmt.Sprintf("/d/f%d", i), []byte("apple")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		ix := New()
+		ix.SetSealThreshold(2)
+		if _, _, _, err := ix.SyncTreeParallel(mem, "/d", workers); err != nil {
+			t.Fatal(err)
+		}
+		if segs := ix.Stats().Segments; segs < 5 {
+			t.Fatalf("workers=%d: %d segments for 9 docs at threshold 2, want at least 5", workers, segs)
+		}
+	}
+}
+
+// TestRenamePathReplacesDestination checks that renaming onto an
+// indexed path retires the destination's document, as the file system
+// rename does: the path must not be indexed twice.
+func TestRenamePathReplacesDestination(t *testing.T) {
+	ix := New()
+	ix.Add("/d/a", []byte("apple"))
+	ix.Add("/d/b", []byte("apple"))
+	if !ix.RenamePath("/d/a", "/d/b") {
+		t.Fatal("RenamePath found nothing")
+	}
+	snap := ix.Snapshot()
+	if got, want := snap.Paths(snap.Lookup("apple")), []string{"/d/b"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Lookup after rename over /d/b = %v, want %v", got, want)
+	}
+	ix.Add("/e/x", []byte("pear"))
+	ix.Add("/f/x", []byte("pear"))
+	ix.RenamePrefix("/e", "/f")
+	snap = ix.Snapshot()
+	if got, want := snap.Paths(snap.Lookup("pear")), []string{"/f/x"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Lookup after prefix rename over /f = %v, want %v", got, want)
+	}
+	if docs := ix.Stats().Docs; docs != 2 {
+		t.Fatalf("live docs = %d, want 2", docs)
+	}
+}

@@ -8,43 +8,66 @@ import (
 
 // Snapshot is an epoch-pinned read view of the index: the set of
 // segments resident when it was taken, with the active segment capped
-// at its committed length. A multi-call query evaluation (one Lookup
-// per term, then Paths) sees a single consistent ID space even while a
-// merge commits concurrently — the snapshot keeps references to the
-// pinned segments, which a merge retires but never mutates.
-//
-// Liveness is read at call time, not pin time: a document deleted after
-// the pin stops matching. What the snapshot freezes is the segment set
-// — the ID space — not the tombstone state, which is exactly what a
-// consistent bitmap intersection needs.
+// at its committed length and every segment's tombstones as they stood
+// at pin time. A multi-call query evaluation (one Lookup per term, then
+// Paths) sees a single consistent ID space and a single liveness state
+// even while merges and Reindex commits land concurrently — the
+// snapshot keeps references to the pinned segments, which a merge
+// retires but never mutates, and to their pinned dead bitmaps, which
+// the writer copies rather than mutates (segment.deadPinned). A
+// document updated or deleted after the pin keeps matching in the
+// snapshot; its replacement, committed after the pin, does not.
 type Snapshot struct {
-	ix        *Index
-	epoch     uint64
-	version   uint64
-	segs      []*segment // sealed (pin order) then active
-	bySeg     map[uint32]*segment
-	activeID  uint32
-	activeLen int // committed docs in the active segment at pin time
+	ix       *Index
+	epoch    uint64
+	version  uint64
+	segs     []*pinnedSeg // sealed (pin order) then active
+	bySeg    map[uint32]*pinnedSeg
+	activeID uint32
 }
 
-// Snapshot pins the current segment set.
+// pinnedSeg is one segment as a snapshot sees it. Its dead and
+// deadCount fields shadow the segment's live ones, so every read
+// through a pinnedSeg filters against the pin-time tombstones; n is the
+// number of slots committed at pin time.
+type pinnedSeg struct {
+	*segment
+	dead      *bitset.Bitmap
+	deadCount int
+	n         int
+}
+
+// aliveLocal returns the slots live at pin time. Caller holds ix.mu.
+func (p *pinnedSeg) aliveLocal() *bitset.Bitmap {
+	bm := bitset.FullBitmap(p.n)
+	bm.AndNot(p.dead)
+	return bm
+}
+
+// liveAt reports whether local slot l was committed and live at pin
+// time.
+func (p *pinnedSeg) liveAt(l uint32) bool {
+	return int(l) < p.n && !p.dead.Contains(l)
+}
+
+// Snapshot pins the current segment set and its tombstones.
 func (ix *Index) Snapshot() *Snapshot {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	sn := &Snapshot{
-		ix:        ix,
-		epoch:     ix.epoch,
-		version:   ix.version.Load(),
-		bySeg:     make(map[uint32]*segment, len(ix.sealed)+1),
-		activeID:  ix.active.id,
-		activeLen: len(ix.active.docs),
+		ix:       ix,
+		epoch:    ix.epoch,
+		version:  ix.version.Load(),
+		segs:     make([]*pinnedSeg, 0, len(ix.sealed)+1),
+		bySeg:    make(map[uint32]*pinnedSeg, len(ix.sealed)+1),
+		activeID: ix.active.id,
 	}
-	for _, s := range ix.sealed {
-		sn.segs = append(sn.segs, s)
-		sn.bySeg[s.id] = s
-	}
-	sn.segs = append(sn.segs, ix.active)
-	sn.bySeg[ix.active.id] = ix.active
+	ix.eachSegmentLocked(func(s *segment) {
+		s.deadPinned.Store(true)
+		p := &pinnedSeg{segment: s, dead: s.dead, deadCount: s.deadCount, n: len(s.docs)}
+		sn.segs = append(sn.segs, p)
+		sn.bySeg[s.id] = p
+	})
 	return sn
 }
 
@@ -56,20 +79,13 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 // is what the planner's result cache keys on.
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
-// cap limits a result bitmap of segment s to the slots committed at pin
-// time (only the active segment can have grown since).
-func (sn *Snapshot) capSeg(s *segment, bm *bitset.Bitmap) *bitset.Bitmap {
+// capSeg limits a result bitmap of segment s to the slots committed at
+// pin time (only the active segment can have grown since).
+func (sn *Snapshot) capSeg(s *pinnedSeg, bm *bitset.Bitmap) *bitset.Bitmap {
 	if s.id == sn.activeID {
-		bm.Trim(sn.activeLen)
+		bm.Trim(s.n)
 	}
 	return bm
-}
-
-func (sn *Snapshot) segLen(s *segment) int {
-	if s.id == sn.activeID {
-		return sn.activeLen
-	}
-	return len(s.docs)
 }
 
 // Lookup returns the live documents containing term, within the pinned
@@ -164,7 +180,7 @@ func (sn *Snapshot) AllDocs() *bitset.Segmented {
 	sn.ix.mu.RLock()
 	defer sn.ix.mu.RUnlock()
 	for _, s := range sn.segs {
-		out.PutSeg(s.id, sn.capSeg(s, s.aliveLocal()))
+		out.PutSeg(s.id, s.aliveLocal())
 	}
 	return out
 }
@@ -180,9 +196,7 @@ func (sn *Snapshot) DocsUnder(root string) *bitset.Segmented {
 	defer sn.ix.mu.RUnlock()
 	if root == "/" {
 		for _, s := range sn.segs {
-			bm := s.aliveLocal()
-			bm.Trim(sn.segLen(s))
-			out.PutSeg(s.id, bm)
+			out.PutSeg(s.id, s.aliveLocal())
 		}
 		return out
 	}
@@ -196,7 +210,7 @@ func (sn *Snapshot) DocsUnder(root string) *bitset.Segmented {
 			scope.AndNotBitmap(s.dead)
 		}
 		if s.id == sn.activeID {
-			scope.Trim(sn.activeLen)
+			scope.Trim(s.n)
 		}
 		out.PutSegContainer(s.id, scope)
 	}
@@ -208,7 +222,7 @@ func (sn *Snapshot) DocsUnder(root string) *bitset.Segmented {
 // segment holds none. selfID/selfOK name the pinned document at exactly
 // root, if any — vfs.HasPrefix(p, root) matches p == root, so a file
 // path used as a scope selects the file itself. Caller holds ix.mu.
-func (sn *Snapshot) scopeLocalLocked(s *segment, root string, selfID DocID, selfOK bool) *bitset.Container {
+func (sn *Snapshot) scopeLocalLocked(s *pinnedSeg, root string, selfID DocID, selfOK bool) *bitset.Container {
 	var scope *bitset.Container
 	if c, ok := s.dirs[root]; ok {
 		scope = c.Clone()
@@ -259,7 +273,7 @@ func (sn *Snapshot) LookupUnder(term, root string) (*bitset.Segmented, int) {
 			scope.AndNotBitmap(s.dead)
 		}
 		if s.id == sn.activeID {
-			scope.Trim(sn.activeLen)
+			scope.Trim(s.n)
 		}
 		out.PutSegContainer(s.id, scope)
 	}
@@ -292,7 +306,7 @@ func (sn *Snapshot) ScopeCost(root string) int {
 	if root == "/" {
 		n := 0
 		for _, s := range sn.segs {
-			n += sn.segLen(s)
+			n += s.n
 		}
 		return n
 	}
@@ -315,7 +329,7 @@ func (sn *Snapshot) Paths(res *bitset.Segmented) []string {
 	res.Range(func(id uint64) bool {
 		seg, local := splitID(id)
 		if s, ok := sn.bySeg[seg]; ok {
-			if int(local) < sn.segLen(s) && s.docs[local].alive {
+			if s.liveAt(local) {
 				out = append(out, s.docs[local].path)
 			}
 			return true
@@ -341,7 +355,7 @@ func (sn *Snapshot) PathsOf(ids []DocID) []string {
 	for _, id := range ids {
 		seg, local := splitID(id)
 		if s, ok := sn.bySeg[seg]; ok {
-			if int(local) < sn.segLen(s) && s.docs[local].alive {
+			if s.liveAt(local) {
 				out = append(out, s.docs[local].path)
 			}
 			continue
@@ -359,7 +373,7 @@ func (sn *Snapshot) PathOf(id DocID) (string, bool) {
 	defer sn.ix.mu.RUnlock()
 	seg, local := splitID(id)
 	if s, ok := sn.bySeg[seg]; ok {
-		if int(local) < sn.segLen(s) && s.docs[local].alive {
+		if s.liveAt(local) {
 			return s.docs[local].path, true
 		}
 		return "", false
@@ -396,7 +410,7 @@ func (sn *Snapshot) idOfLocked(path string) (DocID, bool) {
 	for hops := 0; hops < 64; hops++ {
 		seg, local := splitID(id)
 		if s, ok := sn.bySeg[seg]; ok {
-			if int(local) >= sn.segLen(s) {
+			if int(local) >= s.n {
 				return 0, false // committed after the pin
 			}
 			return id, true

@@ -2,7 +2,11 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
+
+	"hacfs/internal/vfs"
 )
 
 // TestSnapshotStableIDsAcrossMerge pins the central DocID contract: a
@@ -95,8 +99,8 @@ func TestSnapshotResultSurvivesMerge(t *testing.T) {
 }
 
 // TestSnapshotFreezesIDSpace checks that documents added after the pin
-// are invisible to the snapshot, while deletions after the pin take
-// effect immediately (liveness is call-time, the ID space is not).
+// are invisible to the snapshot, and that deletions after the pin are
+// too: the snapshot freezes both the ID space and the tombstones.
 func TestSnapshotFreezesIDSpace(t *testing.T) {
 	ix := New()
 	ix.Add("/a", []byte("apple"))
@@ -104,15 +108,74 @@ func TestSnapshotFreezesIDSpace(t *testing.T) {
 	snap := ix.Snapshot()
 
 	ix.Add("/c", []byte("apple")) // post-pin: outside the frozen space
-	ix.Remove("/b")               // post-pin: stops matching immediately
+	ix.Remove("/b")               // post-pin: still live in the snapshot
 
-	if got := snap.Paths(snap.Lookup("apple")); len(got) != 1 || got[0] != "/a" {
-		t.Fatalf("pinned lookup = %v, want [/a]", got)
+	if got := snap.Paths(snap.Lookup("apple")); len(got) != 2 || got[0] != "/a" || got[1] != "/b" {
+		t.Fatalf("pinned lookup = %v, want [/a /b]", got)
+	}
+	if got := ix.Snapshot(); len(got.Paths(got.Lookup("apple"))) != 2 {
+		t.Fatalf("fresh lookup = %v, want [/a /c]", got.Paths(got.Lookup("apple")))
 	}
 	if _, ok := snap.IDOf("/c"); ok {
 		t.Fatal("snapshot resolved a document committed after the pin")
 	}
 	if epoch := snap.Epoch(); epoch != ix.Snapshot().Epoch() {
 		t.Fatalf("epoch moved without a merge: %d vs %d", epoch, ix.Snapshot().Epoch())
+	}
+}
+
+// TestSnapshotPinsTombstones pins a snapshot, then updates a document
+// through a commit (serial Add and a parallel SyncTree chunk), and
+// checks that every pinned read path still returns the old version:
+// the snapshot keeps the tombstones of its pin time.
+func TestSnapshotPinsTombstones(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fsys := vfs.New()
+			clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+			fsys.SetClock(func() time.Time { return clock })
+			if err := fsys.MkdirAll("/d"); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []string{"/d/a", "/d/b"} {
+				if err := fsys.WriteFile(p, []byte("apple "+p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix := New()
+			if _, _, _, err := ix.SyncTreeParallel(fsys, "/d", workers); err != nil {
+				t.Fatal(err)
+			}
+			snap := ix.Snapshot()
+
+			clock = clock.Add(time.Minute)
+			if err := fsys.WriteFile("/d/b", []byte("banana")); err != nil {
+				t.Fatal(err)
+			}
+			if _, updated, _, err := ix.SyncTreeParallel(fsys, "/d", workers); err != nil || updated != 1 {
+				t.Fatalf("reindex updated %d, %v; want 1", updated, err)
+			}
+			ix.Add("/d/a", []byte("cherry")) // a serial commit too
+
+			want := []string{"/d/a", "/d/b"}
+			check := func(what string, got []string) {
+				t.Helper()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pinned %s = %v, want %v", what, got, want)
+				}
+			}
+			check("Lookup", snap.Paths(snap.Lookup("apple")))
+			check("LookupPrefix", snap.Paths(snap.LookupPrefix("app")))
+			check("LookupFuzzy", snap.Paths(snap.LookupFuzzy("appla")))
+			under, _ := snap.LookupUnder("apple", "/d")
+			check("LookupUnder", snap.Paths(under))
+			check("DocsUnder", snap.Paths(snap.DocsUnder("/d")))
+			check("AllDocs", snap.Paths(snap.AllDocs()))
+
+			fresh := ix.Snapshot()
+			if got := fresh.Paths(fresh.Lookup("apple")); len(got) != 0 {
+				t.Fatalf("fresh Lookup(apple) = %v, want none", got)
+			}
+		})
 	}
 }

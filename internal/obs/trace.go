@@ -44,20 +44,6 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 // String renders the ID as 32 lowercase hex digits.
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 
-// Words splits the ID into two 64-bit halves, for codecs that ship it
-// as integers (the gob request fields).
-func (t TraceID) Words() (hi, lo uint64) {
-	return binary.BigEndian.Uint64(t[:8]), binary.BigEndian.Uint64(t[8:])
-}
-
-// TraceIDFromWords reassembles a TraceID split by Words.
-func TraceIDFromWords(hi, lo uint64) TraceID {
-	var t TraceID
-	binary.BigEndian.PutUint64(t[:8], hi)
-	binary.BigEndian.PutUint64(t[8:], lo)
-	return t
-}
-
 // MarshalText renders the ID as hex (used by encoding/json).
 func (t TraceID) MarshalText() ([]byte, error) {
 	buf := make([]byte, hex.EncodedLen(len(t)))

@@ -200,10 +200,6 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	if err != nil || parsed != id {
 		t.Fatalf("ParseTraceID(%s) = %v, %v", id, parsed, err)
 	}
-	hi, lo := id.Words()
-	if TraceIDFromWords(hi, lo) != id {
-		t.Fatal("Words/FromWords round trip failed")
-	}
 	if _, err := ParseTraceID("nope"); err == nil {
 		t.Fatal("short id should not parse")
 	}

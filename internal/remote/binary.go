@@ -1,13 +1,11 @@
 package remote
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hacfs/internal/obs"
@@ -15,31 +13,31 @@ import (
 	"hacfs/internal/wire"
 )
 
-// Binary protocol (DESIGN.md §12). A connection that opens with the
-// wire magic speaks length-prefixed frames instead of the legacy line
-// protocol; the server sniffs the first bytes and serves both. Frame
-// types:
+// Binary protocol (DESIGN.md §12). A connection opens with the wire
+// hello and then carries length-prefixed frames; one that does not
+// open with the hello is closed. Frame types:
 //
 //	fPing    → fPong
-//	fSearch  → fPage* — the server pages the result through the cursor
-//	           machinery and streams one fPage frame per page; the last
-//	           carries FlagFinal. Payload: after(u64) pageSize(varint)
-//	           limitPages(varint, 0 = all) query(string).
-//	fSearch2 → fPage2* — the scoped form: the request payload adds a
-//	           scope string after limitPages, each response page leads
-//	           with the index epoch it was served from (DESIGN.md §14).
+//	fSearch2 → fPage2* — the server pages the result through the
+//	           cursor machinery and streams one fPage2 frame per page;
+//	           the last carries FlagFinal. Payload: after(u64)
+//	           pageSize(varint) limitPages(varint, 0 = all)
+//	           scope(string, "" = everywhere) query(string). Each page
+//	           leads with the index epoch it was served from (DESIGN.md
+//	           §14), then the next cursor and the paths.
 //	fFetch   → fData
 //	fResync  → fOK — rebuild the served index from its document tree.
 //	fStatus  → fStatV — epoch(uvarint) version(uvarint) docs(uvarint).
 //	fErr     ends any request with a message (typed via errors.go).
 //
 // Many requests may be in flight per connection; responses interleave
-// by request ID.
+// by request ID. Codes 3 and 4 are reserved so that no type code a
+// deployed peer knows changes meaning.
 const (
 	fPing uint8 = iota + 1
 	fPong
-	fSearch
-	fPage
+	_ // reserved
+	_ // reserved
 	fFetch
 	fData
 	fErr
@@ -58,43 +56,11 @@ const maxFramePayload = maxFetch + 64*1024
 // maxPageEntries bounds the declared path count of one result page.
 const maxPageEntries = 1 << 20
 
-// appendSearchReq encodes an fSearch payload.
-func appendSearchReq(b []byte, q string, after uint64, pageSize, limitPages int) []byte {
-	b = wire.AppendUvarint(b, after)
-	b = wire.AppendVarint(b, int64(pageSize))
-	b = wire.AppendVarint(b, int64(limitPages))
-	b = wire.AppendString(b, q)
-	return b
-}
+// maxConnInflight bounds concurrently executing requests per
+// connection.
+const maxConnInflight = 64
 
-// decodeSearchReq decodes an fSearch payload.
-func decodeSearchReq(payload []byte) (q string, after uint64, pageSize, limitPages int, err error) {
-	d := wire.NewDec(payload)
-	after = d.Uvarint()
-	pageSize = d.Int()
-	limitPages = d.Int()
-	q = d.String(maxLine)
-	return q, after, pageSize, limitPages, d.Close()
-}
-
-// appendPage encodes an fPage payload: the next cursor and one page of
-// paths.
-func appendPage(b []byte, next uint64, paths []string) []byte {
-	b = wire.AppendUvarint(b, next)
-	b = wire.AppendStrings(b, paths)
-	return b
-}
-
-// decodePage decodes an fPage payload.
-func decodePage(payload []byte) (paths []string, next uint64, err error) {
-	d := wire.NewDec(payload)
-	next = d.Uvarint()
-	paths = d.Strings(maxLine, maxPageEntries)
-	return paths, next, d.Close()
-}
-
-// appendSearchReq2 encodes an fSearch2 payload: the fSearch fields plus
-// the scope root.
+// appendSearchReq2 encodes an fSearch2 payload.
 func appendSearchReq2(b []byte, q, scope string, after uint64, pageSize, limitPages int) []byte {
 	b = wire.AppendUvarint(b, after)
 	b = wire.AppendVarint(b, int64(pageSize))
@@ -133,80 +99,26 @@ func decodePage2(payload []byte) (paths []string, next, epoch uint64, err error)
 	return paths, next, epoch, d.Close()
 }
 
-// serveBinary answers framed requests on conn until it dies. Each
+// serveConn answers framed requests on conn until it dies. Each
 // request runs on its own goroutine (bounded per connection) so slow
-// searches do not block pings — the multiplexing that the line
-// protocol lacked.
-func (s *Server) serveBinary(conn net.Conn, r frameReader) {
-	ver, err := wire.ReadHello(r)
-	if err != nil {
-		return
-	}
-	// Always answer with the server's own hello: a client speaking a
-	// different framing version reads it and reports a clean versioned
-	// error instead of misparsing a frame.
-	if err := wire.WriteHello(conn, wire.Version); err != nil {
-		return
-	}
-	w := newFrameWriter(conn)
-	if ver != wire.Version {
-		w.send(wire.Frame{Type: fErr, Flags: wire.FlagFinal,
-			Payload: []byte(fmt.Sprintf("unsupported protocol version %d (server speaks %d)", ver, wire.Version))})
-		return
-	}
-	// Bound concurrent requests per connection.
-	sem := make(chan struct{}, 64)
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	for {
-		f, err := wire.ReadFrame(r, maxFramePayload)
-		if err != nil {
-			return
-		}
-		sem <- struct{}{}
-		reqWG.Add(1)
-		go func(f wire.Frame) {
-			defer reqWG.Done()
-			defer func() { <-sem }()
-			s.handleFrame(w, f)
-		}(f)
+// searches do not block pings.
+func (s *Server) serveConn(conn net.Conn) {
+	err := wire.ServeConn(conn, fErr, maxFramePayload, maxConnInflight, s.handleFrame)
+	if err != nil && !errors.Is(err, io.EOF) {
+		s.logf("remote: %s: %v", conn.RemoteAddr(), err)
 	}
 }
 
-// frameReader is the buffered reader serveConn peeked the magic from.
-type frameReader interface {
-	Read([]byte) (int, error)
+func sendErr(w *wire.FrameWriter, id uint64, err error) error {
+	return w.Send(wire.Frame{Type: fErr, Flags: wire.FlagFinal, ID: id, Payload: []byte(encodeWireError(err))})
 }
 
-// frameWriter serializes response frames onto one connection. Frames
-// accumulate in a buffered writer and only the last sender in a pack
-// flushes, batching syscalls under load without adding idle latency.
-type frameWriter struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	writers atomic.Int64
+// malformed types a request the server could not decode.
+func malformed(op string, err error) error {
+	return &vfs.PathError{Op: op, Err: fmt.Errorf("%w: %v", vfs.ErrInvalid, err)}
 }
 
-func newFrameWriter(conn net.Conn) *frameWriter {
-	return &frameWriter{bw: bufio.NewWriterSize(conn, 64<<10)}
-}
-
-func (w *frameWriter) send(f wire.Frame) error {
-	w.writers.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := wire.WriteFrame(w.bw, f)
-	if w.writers.Add(-1) == 0 && err == nil {
-		err = w.bw.Flush()
-	}
-	return err
-}
-
-func (w *frameWriter) sendErr(id uint64, err error) error {
-	return w.send(wire.Frame{Type: fErr, Flags: wire.FlagFinal, ID: id, Payload: []byte(encodeWireError(err))})
-}
-
-func (s *Server) handleFrame(w *frameWriter, f wire.Frame) {
+func (s *Server) handleFrame(w *wire.FrameWriter, f wire.Frame) {
 	// A traced frame carries the caller's span context in its header;
 	// joining it links the server's spans into the client's trace.
 	ctx := context.Background()
@@ -215,128 +127,80 @@ func (s *Server) handleFrame(w *frameWriter, f wire.Frame) {
 	}
 	switch f.Type {
 	case fPing:
-		w.send(wire.Frame{Type: fPong, Flags: wire.FlagFinal, ID: f.ID})
-	case fSearch:
-		q, after, pageSize, limitPages, err := decodeSearchReq(f.Payload)
-		if err != nil {
-			w.sendErr(f.ID, err)
-			return
-		}
-		s.streamSearch(ctx, w, f.ID, fPage, q, "", after, pageSize, limitPages)
+		w.Send(wire.Frame{Type: fPong, Flags: wire.FlagFinal, ID: f.ID})
 	case fSearch2:
 		q, scope, after, pageSize, limitPages, err := decodeSearchReq2(f.Payload)
 		if err != nil {
-			w.sendErr(f.ID, err)
+			sendErr(w, f.ID, malformed("search", err))
 			return
 		}
-		s.streamSearch(ctx, w, f.ID, fPage2, q, scope, after, pageSize, limitPages)
+		s.streamSearch(ctx, w, f.ID, q, scope, after, pageSize, limitPages)
 	case fResync:
-		rs, ok := s.backend.(Resyncer)
-		if !ok {
-			w.sendErr(f.ID, &vfs.PathError{Op: "resync", Path: "/", Err: vfs.ErrUnsupported})
-			return
-		}
 		sp, opCtx := s.startOp(ctx, "remote.Resync", "")
 		start := time.Now()
-		err := rs.Resync(opCtx)
+		err := s.backend.Resync(opCtx)
 		s.finishOp(sp, "remote.Resync", "", start, err)
 		if err != nil {
-			w.sendErr(f.ID, err)
+			sendErr(w, f.ID, err)
 			return
 		}
-		w.send(wire.Frame{Type: fOK, Flags: wire.FlagFinal, ID: f.ID})
+		w.Send(wire.Frame{Type: fOK, Flags: wire.FlagFinal, ID: f.ID})
 	case fStatus:
-		sb, ok := s.backend.(StatusBackend)
-		if !ok {
-			w.sendErr(f.ID, &vfs.PathError{Op: "status", Path: "/", Err: vfs.ErrUnsupported})
-			return
-		}
-		epoch, version, docs := sb.Status()
+		epoch, version, docs := s.backend.Status()
 		var b []byte
 		b = wire.AppendUvarint(b, epoch)
 		b = wire.AppendUvarint(b, version)
 		b = wire.AppendUvarint(b, uint64(docs))
-		w.send(wire.Frame{Type: fStatV, Flags: wire.FlagFinal, ID: f.ID, Payload: b})
+		w.Send(wire.Frame{Type: fStatV, Flags: wire.FlagFinal, ID: f.ID, Payload: b})
 	case fFetch:
 		d := wire.NewDec(f.Payload)
 		path := d.String(maxLine)
 		if err := d.Close(); err != nil {
-			w.sendErr(f.ID, err)
+			sendErr(w, f.ID, malformed("fetch", err))
 			return
 		}
 		data, err := s.backend.Fetch(path)
 		if err != nil {
-			w.sendErr(f.ID, err)
+			sendErr(w, f.ID, err)
 			return
 		}
 		if len(data) > maxFetch {
-			w.sendErr(f.ID, errors.New("document too large"))
+			sendErr(w, f.ID, errors.New("document too large"))
 			return
 		}
-		w.send(wire.Frame{Type: fData, Flags: wire.FlagFinal, ID: f.ID, Payload: data})
+		w.Send(wire.Frame{Type: fData, Flags: wire.FlagFinal, ID: f.ID, Payload: data})
 	default:
-		w.sendErr(f.ID, fmt.Errorf("unknown frame type %d", f.Type))
+		sendErr(w, f.ID, malformed("frame", fmt.Errorf("unknown frame type %d", f.Type)))
 	}
 }
 
-// streamSearch answers one fSearch/fSearch2 request: it pages the
-// result through the cursor machinery and streams one reply frame per
-// page, the last carrying FlagFinal. replyType selects the page
-// encoding (fPage, or fPage2 with the serving epoch).
-func (s *Server) streamSearch(ctx context.Context, w *frameWriter, id uint64, replyType uint8, q, scope string, after uint64, pageSize, limitPages int) {
+// streamSearch answers one fSearch2 request: it pages the result
+// through the cursor machinery and streams one fPage2 frame per page,
+// the last carrying FlagFinal.
+func (s *Server) streamSearch(ctx context.Context, w *wire.FrameWriter, id uint64, q, scope string, after uint64, pageSize, limitPages int) {
 	if pageSize <= 0 {
 		pageSize = 512
 	}
-	opName := "remote.Search"
-	if replyType == fPage2 {
-		opName = "remote.SearchUnder"
-	}
+	const opName = "remote.Search"
 	sp, opCtx := s.startOp(ctx, opName, q)
 	start := time.Now()
-
-	var fetchPage func(cursor uint64) ([]string, uint64, uint64, error)
-	if sb, ok := s.backend.(ScopedBackend); ok {
-		fetchPage = func(cur uint64) ([]string, uint64, uint64, error) {
-			return sb.SearchPageUnder(opCtx, q, scope, cur, pageSize)
-		}
-	} else if scope != "" && scope != "/" {
-		err := &vfs.PathError{Op: "searchu", Path: scope, Err: vfs.ErrUnsupported}
-		s.finishOp(sp, opName, q, start, err)
-		w.sendErr(id, err)
-		return
-	} else if pb, ok := s.backend.(PagedBackend); ok {
-		fetchPage = func(cur uint64) ([]string, uint64, uint64, error) {
-			paths, next, err := pb.SearchPage(q, cur, pageSize)
-			return paths, next, 0, err
-		}
-	} else {
-		// Unpaged backend: the whole result as a single final page.
-		paths, err := s.backend.Search(q)
-		s.finishOp(sp, opName, q, start, err)
-		if err != nil {
-			w.sendErr(id, err)
-			return
-		}
-		w.send(wire.Frame{Type: replyType, Flags: wire.FlagFinal, ID: id, Payload: s.encodePage(replyType, 0, 0, paths)})
-		return
-	}
 
 	// Stream pages until the cursor runs out or the client's page
 	// budget is spent.
 	cursor := after
 	for page := 0; ; page++ {
-		paths, next, epoch, err := fetchPage(cursor)
+		paths, next, epoch, err := s.backend.SearchPageUnder(opCtx, q, scope, cursor, pageSize)
 		if err != nil {
 			s.finishOp(sp, opName, q, start, err)
-			w.sendErr(id, err)
+			sendErr(w, id, err)
 			return
 		}
 		final := next == 0 || (limitPages > 0 && page+1 >= limitPages)
-		fr := wire.Frame{Type: replyType, ID: id, Payload: s.encodePage(replyType, epoch, next, paths)}
+		fr := wire.Frame{Type: fPage2, ID: id, Payload: appendPage2(nil, epoch, next, paths)}
 		if final {
 			fr.Flags = wire.FlagFinal
 		}
-		if err := w.send(fr); err != nil {
+		if err := w.Send(fr); err != nil {
 			s.finishOp(sp, opName, q, start, err)
 			return
 		}
@@ -348,17 +212,9 @@ func (s *Server) streamSearch(ctx context.Context, w *frameWriter, id uint64, re
 	}
 }
 
-func (s *Server) encodePage(replyType uint8, epoch, next uint64, paths []string) []byte {
-	if replyType == fPage2 {
-		return appendPage2(nil, epoch, next, paths)
-	}
-	return appendPage(nil, next, paths)
-}
-
-// BinClient speaks the multiplexed binary protocol and implements
-// hac.Namespace and hac.ContextNamespace, like the line-protocol
-// Client — but many requests proceed concurrently on one connection,
-// and search results stream in pages instead of one counted blob.
+// BinClient speaks the binary protocol and implements hac.Namespace
+// and hac.ContextNamespace. Many requests proceed concurrently on one
+// connection, and search results stream in pages.
 type BinClient struct {
 	name string
 	mux  *wire.Mux
@@ -411,7 +267,7 @@ func (c *BinClient) Ping() error { return c.PingContext(context.Background()) }
 // PingContext checks liveness, bounded by ctx.
 func (c *BinClient) PingContext(ctx context.Context) (err error) {
 	defer c.met.ping.done(time.Now(), &err)
-	f, err := c.mux.CallOne(ctx, fPing, nil)
+	f, err := c.call(ctx, fPing, nil)
 	if err != nil {
 		return err
 	}
@@ -419,6 +275,14 @@ func (c *BinClient) PingContext(ctx context.Context) (err error) {
 		return c.unexpected(f)
 	}
 	return nil
+}
+
+// call performs one single-frame round trip. Every request of this
+// protocol only reads or rebuilds the server's index, so all are sent
+// as idempotent: one lost to a dropped connection is re-sent once.
+func (c *BinClient) call(ctx context.Context, typ uint8, payload []byte) (wire.Frame, error) {
+	sc, _ := obs.FromContext(ctx)
+	return c.mux.CallOne(ctx, sc, typ, payload, true)
 }
 
 func (c *BinClient) unexpected(f wire.Frame) error {
@@ -435,64 +299,8 @@ func (c *BinClient) Search(q string) ([]string, error) {
 }
 
 // SearchContext is Search bounded by ctx.
-func (c *BinClient) SearchContext(ctx context.Context, q string) (_ []string, err error) {
-	defer c.met.search.done(time.Now(), &err)
-	sp, ctx := c.startRPC(ctx, "rpc.remote.Search", q)
-	defer func() { sp.FinishErr(err) }()
-	var out []string
-	err = c.searchPages(ctx, q, 0, 0, 0, func(paths []string, next uint64) {
-		out = append(out, paths...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SearchPage fetches one cursor page, for callers that page explicitly
-// (the PagedBackend shape). The server streams; asking for one page
-// bounds the stream to one frame.
-func (c *BinClient) SearchPage(ctx context.Context, q string, after uint64, limit int) (_ []string, _ uint64, err error) {
-	defer c.met.search.done(time.Now(), &err)
-	sp, ctx := c.startRPC(ctx, "rpc.remote.SearchPage", q)
-	defer func() { sp.FinishErr(err) }()
-	var out []string
-	var nextOut uint64
-	err = c.searchPages(ctx, q, after, limit, 1, func(paths []string, next uint64) {
-		out = append(out, paths...)
-		nextOut = next
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, nextOut, nil
-}
-
-// searchPages issues one search call and invokes fn for every streamed
-// page frame.
-func (c *BinClient) searchPages(ctx context.Context, q string, after uint64, pageSize, limitPages int, fn func([]string, uint64)) error {
-	st, err := c.mux.Call(ctx, fSearch, appendSearchReq(nil, q, after, pageSize, limitPages))
-	if err != nil {
-		return err
-	}
-	defer st.Cancel()
-	for {
-		f, err := st.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if f.Type != fPage {
-			return c.unexpected(f)
-		}
-		paths, next, err := decodePage(f.Payload)
-		if err != nil {
-			return err
-		}
-		fn(paths, next)
-		if f.Final() {
-			return nil
-		}
-	}
+func (c *BinClient) SearchContext(ctx context.Context, q string) ([]string, error) {
+	return c.SearchUnderContext(ctx, q, "")
 }
 
 // SearchPageUnder fetches one scope-restricted cursor page, plus the
@@ -500,11 +308,11 @@ func (c *BinClient) searchPages(ctx context.Context, q string, after uint64, pag
 // cluster coordinator fans out (DESIGN.md §14).
 func (c *BinClient) SearchPageUnder(ctx context.Context, q, scope string, after uint64, limit int) (_ []string, _ uint64, _ uint64, err error) {
 	defer c.met.search.done(time.Now(), &err)
-	sp, ctx := c.startRPC(ctx, "rpc.remote.SearchUnder", q)
+	sp, ctx := c.startRPC(ctx, "rpc.remote.Search", q)
 	defer func() { sp.FinishErr(err) }()
 	var out []string
 	var nextOut, epochOut uint64
-	err = c.searchPagesScoped(ctx, q, scope, after, limit, 1, func(paths []string, next, epoch uint64) {
+	err = c.searchPages(ctx, q, scope, after, limit, 1, func(paths []string, next, epoch uint64) {
 		out = append(out, paths...)
 		nextOut, epochOut = next, epoch
 	})
@@ -515,13 +323,13 @@ func (c *BinClient) SearchPageUnder(ctx context.Context, q, scope string, after 
 }
 
 // SearchUnderContext streams every result page of a scope-restricted
-// query and returns all matching paths.
+// query ("" = everywhere) and returns all matching paths.
 func (c *BinClient) SearchUnderContext(ctx context.Context, q, scope string) (_ []string, err error) {
 	defer c.met.search.done(time.Now(), &err)
-	sp, ctx := c.startRPC(ctx, "rpc.remote.SearchUnder", q)
+	sp, ctx := c.startRPC(ctx, "rpc.remote.Search", q)
 	defer func() { sp.FinishErr(err) }()
 	var out []string
-	err = c.searchPagesScoped(ctx, q, scope, 0, 0, 0, func(paths []string, _, _ uint64) {
+	err = c.searchPages(ctx, q, scope, 0, 0, 0, func(paths []string, _, _ uint64) {
 		out = append(out, paths...)
 	})
 	if err != nil {
@@ -530,10 +338,11 @@ func (c *BinClient) SearchUnderContext(ctx context.Context, q, scope string) (_ 
 	return out, nil
 }
 
-// searchPagesScoped issues one scoped search call and invokes fn for
-// every streamed page frame.
-func (c *BinClient) searchPagesScoped(ctx context.Context, q, scope string, after uint64, pageSize, limitPages int, fn func([]string, uint64, uint64)) error {
-	st, err := c.mux.Call(ctx, fSearch2, appendSearchReq2(nil, q, scope, after, pageSize, limitPages))
+// searchPages issues one search call and invokes fn for every streamed
+// page frame.
+func (c *BinClient) searchPages(ctx context.Context, q, scope string, after uint64, pageSize, limitPages int, fn func([]string, uint64, uint64)) error {
+	sc, _ := obs.FromContext(ctx)
+	st, err := c.mux.Call(ctx, sc, fSearch2, appendSearchReq2(nil, q, scope, after, pageSize, limitPages), true)
 	if err != nil {
 		return err
 	}
@@ -561,7 +370,7 @@ func (c *BinClient) searchPagesScoped(ctx context.Context, q, scope string, afte
 func (c *BinClient) Resync(ctx context.Context) (err error) {
 	sp, ctx := c.startRPC(ctx, "rpc.remote.Resync", "")
 	defer func() { sp.FinishErr(err) }()
-	f, err := c.mux.CallOne(ctx, fResync, nil)
+	f, err := c.call(ctx, fResync, nil)
 	if err != nil {
 		return err
 	}
@@ -574,7 +383,7 @@ func (c *BinClient) Resync(ctx context.Context) (err error) {
 // Status reports the server's index epoch, mutation version and live
 // document count.
 func (c *BinClient) Status(ctx context.Context) (epoch, version uint64, docs int, err error) {
-	f, err := c.mux.CallOne(ctx, fStatus, nil)
+	f, err := c.call(ctx, fStatus, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -596,7 +405,7 @@ func (c *BinClient) Fetch(path string) ([]byte, error) {
 // FetchContext is Fetch bounded by ctx.
 func (c *BinClient) FetchContext(ctx context.Context, path string) (_ []byte, err error) {
 	defer c.met.fetch.done(time.Now(), &err)
-	f, err := c.mux.CallOne(ctx, fFetch, wire.AppendString(nil, path))
+	f, err := c.call(ctx, fFetch, wire.AppendString(nil, path))
 	if err != nil {
 		return nil, err
 	}

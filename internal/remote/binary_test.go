@@ -15,19 +15,15 @@ import (
 	"hacfs/internal/wire"
 )
 
-// startBinClient connects a binary-protocol client to the same server
-// the line-protocol helper builds.
-func startBinClient(t *testing.T) (*BinClient, *Client) {
+// startBinClient connects a client to a fresh test server.
+func startBinClient(t *testing.T) *BinClient {
 	t.Helper()
-	lc, _ := startServer(t)
-	bc := DialBin("diglib", lc.addr)
-	bc.SetTimeout(5 * time.Second)
-	t.Cleanup(func() { bc.Close() })
-	return bc, lc
+	bc, _, _ := startServer(t)
+	return bc
 }
 
 func TestBinPingSearchFetch(t *testing.T) {
-	bc, _ := startBinClient(t)
+	bc := startBinClient(t)
 	if err := bc.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +55,11 @@ func TestBinPingSearchFetch(t *testing.T) {
 // reassembles the multi-frame stream, and that explicit paging through
 // the cursor sees every result exactly once.
 func TestBinStreamedPages(t *testing.T) {
-	bc, _ := startBinClient(t)
+	bc := startBinClient(t)
 	ctx := context.Background()
 
 	var all []string
-	err := bc.searchPages(ctx, "fingerprint", 0, 1, 0, func(paths []string, next uint64) {
+	err := bc.searchPages(ctx, "fingerprint", "", 0, 1, 0, func(paths []string, _, _ uint64) {
 		all = append(all, paths...)
 	})
 	if err != nil {
@@ -77,7 +73,7 @@ func TestBinStreamedPages(t *testing.T) {
 	var paged []string
 	var after uint64
 	for {
-		paths, next, err := bc.SearchPage(ctx, "fingerprint", after, 2)
+		paths, next, _, err := bc.SearchPageUnder(ctx, "fingerprint", "", after, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +93,7 @@ func TestBinStreamedPages(t *testing.T) {
 // TestBinManyInFlight issues many concurrent requests over ONE client
 // (one connection) and checks every reply routes to its caller.
 func TestBinManyInFlight(t *testing.T) {
-	bc, _ := startBinClient(t)
+	bc := startBinClient(t)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make(chan error, 200)
@@ -131,31 +127,12 @@ func TestBinManyInFlight(t *testing.T) {
 	}
 }
 
-// TestBinAndLineCoexist runs both protocols against one server: the
-// peek-based negotiation must route each connection correctly.
-func TestBinAndLineCoexist(t *testing.T) {
-	bc, lc := startBinClient(t)
-	want, err := lc.Search("fingerprint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := bc.Search("fingerprint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(want)
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("binary %v != line %v", got, want)
-	}
-}
-
 // TestBinVersionRejected checks the versioned-error path: a client
 // with an unsupported framing version receives an error frame, not a
 // hang or a crash.
 func TestBinVersionRejected(t *testing.T) {
-	lc, _ := startServer(t)
-	conn, err := net.DialTimeout("tcp", lc.addr, 5*time.Second)
+	bc := startBinClient(t)
+	conn, err := net.DialTimeout("tcp", bc.mux.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +165,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 'a', 'b', 'c'})
 	f.Add(func() []byte {
 		var buf bytes.Buffer
-		wire.WriteFrame(&buf, wire.Frame{Type: fSearch, ID: 7, Payload: appendSearchReq(nil, "a AND b", 9, 4, 0)})
+		wire.WriteFrame(&buf, wire.Frame{Type: fSearch2, ID: 7, Payload: appendSearchReq2(nil, "a AND b", "/s", 9, 4, 0)})
 		return buf.Bytes()
 	}())
 	f.Add(func() []byte {
 		var buf bytes.Buffer
-		wire.WriteFrame(&buf, wire.Frame{Type: fPage, Flags: wire.FlagFinal, ID: 3, Payload: appendPage(nil, 11, []string{"/a", "/b"})})
+		wire.WriteFrame(&buf, wire.Frame{Type: fPage2, Flags: wire.FlagFinal, ID: 3, Payload: appendPage2(nil, 5, 11, []string{"/a", "/b"})})
 		return buf.Bytes()
 	}())
 	// Huge declared frame length: must be rejected, not allocated.
@@ -206,13 +183,13 @@ func FuzzDecodeFrame(f *testing.F) {
 				return
 			}
 			switch fr.Type {
-			case fSearch:
-				q, _, _, _, err := decodeSearchReq(fr.Payload)
-				if err == nil && len(q) > maxLine {
-					t.Fatalf("accepted query of %d bytes", len(q))
+			case fSearch2:
+				q, scope, _, _, _, err := decodeSearchReq2(fr.Payload)
+				if err == nil && (len(q) > maxLine || len(scope) > maxLine) {
+					t.Fatalf("accepted query of %d bytes, scope of %d", len(q), len(scope))
 				}
-			case fPage:
-				paths, _, err := decodePage(fr.Payload)
+			case fPage2:
+				paths, _, _, err := decodePage2(fr.Payload)
 				if err == nil {
 					for _, p := range paths {
 						if len(p) > maxLine {

@@ -9,8 +9,8 @@ import (
 	"hacfs/internal/vfs"
 )
 
-// Typed errors over the wire. Both protocols carry errors as one
-// message string (the line protocol's ERR reply, the mux's fErr frame).
+// Typed errors over the wire. The protocol carries errors as one
+// message string (the fErr frame's payload).
 // A bare string loses the error's type, so cluster failures — a shard
 // lost mid-query, a quota rejection — would reach clients as anonymous
 // text instead of a *vfs.PathError they can errors.Is against.
@@ -18,9 +18,7 @@ import (
 // encodeWireError flattens an error into a message that starts with a
 // marker no human-written message uses; decodeWireError reconstructs
 // the *vfs.PathError (op, path, sentinel) on the client side. Messages
-// without the marker — from pre-codec servers, or free-form failures —
-// decode to the legacy *ServerError, so old and new peers interoperate
-// in both directions.
+// without the marker — free-form failures — decode to a *ServerError.
 //
 // Marker format (all fields strconv-quoted, space-separated):
 //
@@ -30,7 +28,7 @@ import (
 // alone is kept).
 
 // wireErrMarker opens an encoded typed error. The leading '!' cannot
-// start a quoted field, which is what legacy decode expects first.
+// start a quoted field.
 const wireErrMarker = "!pe1"
 
 // wireCodes maps sentinel codes to the sentinels themselves. Only
@@ -72,7 +70,7 @@ func encodeWireError(err error) string {
 		return err.Error() // nothing typed to preserve
 	}
 	return strings.Join([]string{
-		wireErrMarker, quote(op), quote(path), quote(code), quote(inner.Error()),
+		wireErrMarker, strconv.Quote(op), strconv.Quote(path), strconv.Quote(code), strconv.Quote(inner.Error()),
 	}, " ")
 }
 
@@ -88,8 +86,7 @@ func (w *wireWrapped) Error() string { return w.msg }
 func (w *wireWrapped) Unwrap() error { return w.sentinel }
 
 // ServerError is a free-form failure reported by the server — anything
-// the typed codec does not cover, including every error from a
-// pre-codec server. It is terminal: retrying another replica cannot
+// the typed codec does not cover. It is terminal: retrying another replica cannot
 // help, the server itself answered.
 type ServerError struct{ Msg string }
 

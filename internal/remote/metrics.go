@@ -29,9 +29,6 @@ func (m rpcMetrics) done(start time.Time, err *error) {
 // (against obs.Default()) or by SetObserver.
 type clientMetrics struct {
 	ping, search, fetch rpcMetrics
-
-	retries      *obs.Counter // remote_rpc_retries_total
-	dialFailures *obs.Counter // remote_dial_failures_total
 }
 
 func newClientMetrics(o *obs.Observer) clientMetrics {
@@ -43,23 +40,5 @@ func newClientMetrics(o *obs.Observer) clientMetrics {
 			seconds: r.Histogram("remote_rpc_seconds", nil, "method", method),
 		}
 	}
-	return clientMetrics{
-		ping:         m("ping"),
-		search:       m("search"),
-		fetch:        m("fetch"),
-		retries:      r.Counter("remote_rpc_retries_total"),
-		dialFailures: r.Counter("remote_dial_failures_total"),
-	}
-}
-
-// SetObserver redirects the client's metrics and spans to o (they
-// default to the process-wide obs.Default()).
-func (c *Client) SetObserver(o *obs.Observer) {
-	if o == nil {
-		o = obs.Discard()
-	}
-	c.mu.Lock()
-	c.met = newClientMetrics(o)
-	c.obsv = o
-	c.mu.Unlock()
+	return clientMetrics{ping: m("ping"), search: m("search"), fetch: m("fetch")}
 }

@@ -1,117 +1,20 @@
 // Package remote implements a network protocol for content-based
 // access, so a HAC volume can semantically mount query systems running
 // elsewhere (§3 of the paper). The server side exposes an index over a
-// document tree; the client side implements hac.Namespace.
+// document tree; the client side (BinClient) implements hac.Namespace.
 //
-// The wire protocol is a line-oriented text protocol over TCP:
-//
-//	C: SEARCH <quoted-query>\n        S: OK <n>\n  then n path lines
-//	C: SEARCHP <after> <limit> <quoted-query>\n
-//	                                  S: OK <n> <next>\n then n path lines
-//	                                  (<next> = cursor of the next page, 0 = done)
-//	C: SEARCHU <after> <limit> <quoted-scope> <quoted-query>\n
-//	                                  S: OK <n> <next> <epoch>\n then n path lines
-//	                                  (scope-restricted page; epoch = the
-//	                                  index epoch the page was served from)
-//	C: RESYNC\n                       S: OK\n  (rebuild the served index)
-//	C: FETCH <quoted-path>\n          S: DATA <len>\n then len bytes
-//	C: PING\n                         S: PONG\n
-//	C: TRACE <trace-id> <span-id>\n   S: OK\n
-//	any error                         S: ERR <quoted-message>\n
-//
-// ERR messages may carry a typed error in the encodeWireError format
-// (errors.go); clients reconstruct the *vfs.PathError and its sentinel,
-// and fall back to a plain *ServerError for unmarked messages.
-//
-// TRACE arms the connection with a trace context (32-hex-digit trace
-// ID, decimal parent span ID) applied to the next command, which joins
-// the caller's distributed trace. Servers that predate the verb answer
-// ERR "unknown verb" and keep the connection alive; clients treat that
-// as "tracing unsupported" and stop sending it.
-//
-// Strings are Go-quoted (strconv.Quote) so queries and paths may
-// contain spaces safely.
+// The protocol is the multiplexed binary framing of internal/wire
+// (DESIGN.md §12); binary.go lists its frame types. Errors travel as
+// one message string that may carry a typed error in the
+// encodeWireError format (errors.go); clients reconstruct the
+// *vfs.PathError and its sentinel, and fall back to a plain
+// *ServerError for unmarked messages. A trace context rides the wire
+// trace header of the request frame.
 package remote
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
-
-// Protocol verbs.
-const (
-	verbSearch      = "SEARCH"
-	verbSearchPage  = "SEARCHP"
-	verbSearchUnder = "SEARCHU"
-	verbResync      = "RESYNC"
-	verbFetch       = "FETCH"
-	verbPing        = "PING"
-	verbTrace       = "TRACE"
-
-	replyOK   = "OK"
-	replyData = "DATA"
-	replyErr  = "ERR"
-	replyPong = "PONG"
-)
-
-// maxLine bounds a single protocol line; longer lines are rejected.
+// maxLine bounds one string field of a request or result page (a
+// query, a scope or a path); longer fields are rejected.
 const maxLine = 64 * 1024
 
-// maxFetch bounds a FETCH response body.
+// maxFetch bounds a fetched document.
 const maxFetch = 16 << 20
-
-// writeLine writes one protocol line.
-func writeLine(w io.Writer, parts ...string) error {
-	_, err := io.WriteString(w, strings.Join(parts, " ")+"\n")
-	return err
-}
-
-// readLine reads one protocol line, enforcing the length bound
-// incrementally so an unterminated line cannot consume unbounded
-// memory.
-func readLine(r *bufio.Reader) (string, error) {
-	var sb strings.Builder
-	for {
-		chunk, err := r.ReadSlice('\n')
-		sb.Write(chunk)
-		if sb.Len() > maxLine {
-			return "", fmt.Errorf("remote: protocol line exceeds %d bytes", maxLine)
-		}
-		switch err {
-		case nil:
-			return strings.TrimRight(sb.String(), "\r\n"), nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return "", err
-		}
-	}
-}
-
-// splitVerb separates the verb from its argument.
-func splitVerb(line string) (verb, arg string) {
-	i := strings.IndexByte(line, ' ')
-	if i < 0 {
-		return line, ""
-	}
-	return line[:i], line[i+1:]
-}
-
-// quote encodes an argument for the wire.
-func quote(s string) string { return strconv.Quote(s) }
-
-// unquote decodes a wire argument.
-func unquote(s string) (string, error) { return strconv.Unquote(s) }
-
-// cutQuotedPair decodes two space-separated quoted arguments.
-func cutQuotedPair(s string) (a, b string, err error) {
-	a, rest, err := cutQuoted(s)
-	if err != nil {
-		return "", "", err
-	}
-	b, err = unquote(strings.TrimLeft(rest, " "))
-	return a, b, err
-}

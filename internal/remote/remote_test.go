@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,8 +15,8 @@ import (
 )
 
 // startServer brings up a server over a small corpus and returns a
-// connected client.
-func startServer(t *testing.T) (*Client, *Server) {
+// connected client and the server's accepted connections.
+func startServer(t *testing.T) (*BinClient, *Server, *trackingListener) {
 	t.Helper()
 	fsys := vfs.New()
 	docs := map[string]string{
@@ -41,24 +42,51 @@ func startServer(t *testing.T) (*Client, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	tl := &trackingListener{Listener: l}
+	go srv.Serve(tl)
 	t.Cleanup(srv.Close)
 
-	c := Dial("diglib", l.Addr().String())
+	c := DialBin("diglib", l.Addr().String())
 	c.SetTimeout(5 * time.Second)
 	t.Cleanup(func() { c.Close() })
-	return c, srv
+	return c, srv, tl
+}
+
+// trackingListener records the connections it accepts, so a test can
+// kill them server-side.
+type trackingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *trackingListener) closeConns() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
 }
 
 func TestPing(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSearch(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	got, err := c.Search("fingerprint AND NOT murder")
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +108,7 @@ func TestSearch(t *testing.T) {
 }
 
 func TestSearchBadQuery(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	_, err := c.Search("((broken")
 	if err == nil || !strings.Contains(err.Error(), "server:") {
 		t.Fatalf("bad query err = %v", err)
@@ -92,7 +120,7 @@ func TestSearchBadQuery(t *testing.T) {
 }
 
 func TestSearchPage(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	// Walk the whole result in pages of 1 and compare against the
 	// unpaged answer.
 	want, err := c.Search("fingerprint")
@@ -109,7 +137,7 @@ func TestSearchPage(t *testing.T) {
 		if pages > len(want) {
 			t.Fatalf("cursor did not terminate: got %v", got)
 		}
-		page, next, err := c.SearchPage(ctx, "fingerprint", after, 1)
+		page, next, _, err := c.SearchPageUnder(ctx, "fingerprint", "", after, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +153,7 @@ func TestSearchPage(t *testing.T) {
 	}
 
 	// Unlimited page = everything at once, terminated.
-	all, next, err := c.SearchPage(ctx, "fingerprint", 0, 0)
+	all, next, _, err := c.SearchPageUnder(ctx, "fingerprint", "", 0, 0)
 	if err != nil || next != 0 {
 		t.Fatalf("unlimited page: %v, next=%d", err, next)
 	}
@@ -134,15 +162,15 @@ func TestSearchPage(t *testing.T) {
 		t.Fatalf("unlimited page = %v, want %v", all, want)
 	}
 
-	// Server-side errors come back as ERR.
-	if _, _, err := c.SearchPage(ctx, "((broken", 0, 1); err == nil ||
+	// Server-side errors come back typed as server errors.
+	if _, _, _, err := c.SearchPageUnder(ctx, "((broken", "", 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "server:") {
 		t.Fatalf("bad query err = %v", err)
 	}
 }
 
 func TestFetch(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	data, err := c.Fetch("/papers/iris.ps")
 	if err != nil || string(data) != "iris recognition methods" {
 		t.Fatalf("Fetch = %q, %v", data, err)
@@ -153,8 +181,8 @@ func TestFetch(t *testing.T) {
 }
 
 func TestQueryWithSpaces(t *testing.T) {
-	c, _ := startServer(t)
-	// The quoted protocol must survive arbitrary whitespace.
+	c, _, _ := startServer(t)
+	// Queries travel verbatim, whitespace included.
 	got, err := c.Search("  fingerprint   AND   sensor ")
 	if err != nil || len(got) != 1 {
 		t.Fatalf("Search with spaces = %v, %v", got, err)
@@ -162,23 +190,20 @@ func TestQueryWithSpaces(t *testing.T) {
 }
 
 func TestReconnectAfterServerSideClose(t *testing.T) {
-	c, srv := startServer(t)
+	c, _, tl := startServer(t)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the client's connection server-side; next request re-dials.
-	srv.mu.Lock()
-	for conn := range srv.conns {
-		conn.Close()
-	}
-	srv.mu.Unlock()
+	// Kill the client's connection server-side; the next request finds
+	// the connection dead and is re-sent on a fresh one.
+	tl.closeConns()
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after reconnect: %v", err)
 	}
 }
 
 func TestDirRefMatchesNothingRemotely(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	got, err := c.Search("fingerprint AND dir:#42")
 	if err != nil || len(got) != 0 {
 		t.Fatalf("dir-ref Search = %v, %v", got, err)
@@ -186,13 +211,13 @@ func TestDirRefMatchesNothingRemotely(t *testing.T) {
 }
 
 func TestClientIsNamespace(t *testing.T) {
-	var _ hac.Namespace = (*Client)(nil)
+	var _ hac.ContextNamespace = (*BinClient)(nil)
 }
 
 // End-to-end: mount the remote server into a HAC volume and build a
 // semantic directory from it (the §3 scenario).
 func TestSemanticMountOverNetwork(t *testing.T) {
-	c, _ := startServer(t)
+	c, _, _ := startServer(t)
 	fs := hac.New(vfs.New(), hac.Options{})
 	if err := fs.MkdirAll("/lib"); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,10 @@
 package remote
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"log"
-	"net"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,41 +16,23 @@ import (
 	"hacfs/internal/wire"
 )
 
-// Backend answers the two remote operations. IndexBackend is the
-// standard implementation; tests may supply others.
+// Backend is what a Server answers from: IndexBackend for one index,
+// a cluster coordinator for a sharded fleet (DESIGN.md §14).
 type Backend interface {
-	Search(q string) ([]string, error)
-	Fetch(path string) ([]byte, error)
-}
-
-// PagedBackend is an optional Backend extension serving cursor-paged
-// searches (the SEARCHP verb). A server whose backend lacks it answers
-// SEARCHP with the full result as a single page.
-type PagedBackend interface {
-	SearchPage(q string, after uint64, limit int) ([]string, uint64, error)
-}
-
-// ScopedBackend is an optional Backend extension serving
-// scope-restricted cursor pages (the SEARCHU verb and fSearch2 frame).
-// The context carries the caller's trace and deadline across the
-// backend — a cluster coordinator fans it out to shards. epoch reports
-// the index epoch the page was pinned against, so a paging caller can
-// observe epoch drift between pages.
-type ScopedBackend interface {
+	// SearchPageUnder serves one scope-restricted cursor page: matches
+	// under scope ("" or "/" = everywhere) with DocID >= after, at
+	// most limit of them (<= 0 = all), the next cursor (0 = done) and
+	// the index epoch the page was pinned against, so a paging caller
+	// can observe epoch drift between pages. The context carries the
+	// caller's trace and deadline across the backend — a coordinator
+	// fans it out to shards.
 	SearchPageUnder(ctx context.Context, q, scope string, after uint64, limit int) (paths []string, next, epoch uint64, err error)
-}
-
-// Resyncer is an optional Backend extension that rebuilds the served
-// index from its document tree (the RESYNC verb and fResync frame). A
-// cluster coordinator fans it out to every shard replica.
-type Resyncer interface {
+	// Fetch reads one document.
+	Fetch(path string) ([]byte, error)
+	// Resync rebuilds the served index from its document tree.
 	Resync(ctx context.Context) error
-}
-
-// StatusBackend is an optional Backend extension reporting index state
-// (the fStatus frame): the merge epoch, the mutation version and the
-// live document count.
-type StatusBackend interface {
+	// Status reports index state: the merge epoch, the mutation
+	// version and the live document count.
 	Status() (epoch, version uint64, docs int)
 }
 
@@ -81,26 +58,6 @@ func NewIndexBackend(fsys vfs.FileSystem, root string) (*IndexBackend, error) {
 // Index exposes the backend's index, e.g. for stats.
 func (b *IndexBackend) Index() *index.Index { return b.ix }
 
-// Search evaluates a query over the backend's index. Directory
-// references have no meaning in a remote namespace and match nothing.
-func (b *IndexBackend) Search(q string) ([]string, error) {
-	res, _, _, err := b.search(q, "", 0, 0)
-	return res, err
-}
-
-// SearchPage serves one cursor page: matches with DocID >= after, at
-// most limit of them (<= 0 = all), plus the next cursor (0 = done).
-func (b *IndexBackend) SearchPage(q string, after uint64, limit int) ([]string, uint64, error) {
-	paths, next, _, err := b.search(q, "", after, limit)
-	return paths, next, err
-}
-
-// SearchPageUnder serves one scope-restricted cursor page plus the
-// index epoch it was pinned against.
-func (b *IndexBackend) SearchPageUnder(_ context.Context, q, scope string, after uint64, limit int) ([]string, uint64, uint64, error) {
-	return b.search(q, scope, after, limit)
-}
-
 // Resync re-walks the backend's document tree, folding any changes into
 // the served index.
 func (b *IndexBackend) Resync(_ context.Context) error {
@@ -116,11 +73,12 @@ func (b *IndexBackend) Status() (epoch, version uint64, docs int) {
 	return snap.Epoch(), snap.Version(), b.ix.Stats().Docs
 }
 
-// search compiles q with the cost-based planner against a pinned
-// snapshot, restricted to scope ("" or "/" = whole tree). The nil Refs
-// map makes dir: references match nothing, the pre-planner behavior
-// for remote namespaces.
-func (b *IndexBackend) search(q, scope string, after uint64, limit int) ([]string, uint64, uint64, error) {
+// SearchPageUnder serves one scope-restricted cursor page plus the
+// index epoch it was pinned against. It compiles q with the cost-based
+// planner against a pinned snapshot, restricted to scope ("" or "/" =
+// whole tree). The nil Refs map makes dir: references match nothing,
+// the pre-planner behavior for remote namespaces.
+func (b *IndexBackend) SearchPageUnder(_ context.Context, q, scope string, after uint64, limit int) ([]string, uint64, uint64, error) {
 	ast, err := query.Parse(q)
 	if err != nil {
 		if errors.Is(err, query.ErrEmpty) {
@@ -138,7 +96,7 @@ func (b *IndexBackend) search(q, scope string, after uint64, limit int) ([]strin
 		return nil, 0, 0, err
 	}
 	if after == 0 && limit <= 0 {
-		// Unpaged: the full result, path-sorted as before.
+		// Unpaged: the full result, path-sorted.
 		return snap.Paths(bm), 0, snap.Epoch(), nil
 	}
 	ids := bm.Slice()
@@ -159,26 +117,18 @@ func (b *IndexBackend) Fetch(path string) ([]byte, error) {
 
 // Server accepts protocol connections and answers them from a Backend.
 type Server struct {
+	*wire.ConnServer
 	backend Backend
 	logger  *log.Logger
 	obsv    *obs.Observer
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer returns a server for the given backend. logger may be nil
 // to disable logging.
 func NewServer(backend Backend, logger *log.Logger) *Server {
-	return &Server{
-		backend: backend,
-		logger:  logger,
-		obsv:    obs.Default(),
-		conns:   make(map[net.Conn]struct{}),
-	}
+	s := &Server{backend: backend, logger: logger, obsv: obs.Default()}
+	s.ConnServer = wire.NewConnServer(s.serveConn)
+	return s
 }
 
 // SetObserver redirects the server's spans and slow-op records, e.g.
@@ -190,10 +140,9 @@ func (s *Server) SetObserver(o *obs.Observer) {
 	s.obsv = o
 }
 
-// startOp opens a server span for one search operation. A trace armed
-// by the client (TRACE verb or binary frame header) is joined;
-// untraced requests still get a root span, so the server's span ring
-// sees every remote search. The companion finishOp closes the span and
+// startOp opens a server span for one search operation. A trace the
+// client sent in the frame header is joined; untraced requests still
+// get a root span, so the server's span ring sees every remote search. The companion finishOp closes the span and
 // records the op in the slow log when it crossed the threshold.
 func (s *Server) startOp(ctx context.Context, name, arg string) (*obs.Span, context.Context) {
 	sp, ctx := s.obsv.Tracer().StartCtx(ctx, name)
@@ -216,246 +165,8 @@ func (s *Server) finishOp(sp *obs.Span, name, arg string, start time.Time, err e
 	}
 }
 
-// Serve accepts connections on l until Close is called. It always
-// returns a non-nil error; after Close the error is net.ErrClosed.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// ListenAndServe listens on addr and serves. It returns the bound
-// address on a channel-free API by blocking; use Listen + Serve to
-// learn the port first.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// Close stops accepting and closes all live connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.logger != nil {
 		s.logger.Printf(format, args...)
-	}
-}
-
-// serveConn handles one client connection until EOF or error. The
-// first bytes select the protocol: the wire magic enters the
-// multiplexed binary framing, anything else falls back to the legacy
-// line protocol, so old clients keep working unchanged.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	if prefix, err := r.Peek(4); err == nil && wire.IsMagic(prefix) {
-		s.serveBinary(conn, r)
-		return
-	}
-	w := bufio.NewWriter(conn)
-	// The connection's armed trace context: set by TRACE, consumed by
-	// the next command. One goroutine serves the whole line loop, so no
-	// locking is needed.
-	var pending obs.SpanContext
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return
-		}
-		if err := s.handle(w, line, &pending); err != nil {
-			s.logf("remote: %v", err)
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) handle(w *bufio.Writer, line string, pending *obs.SpanContext) error {
-	verb, arg := splitVerb(line)
-	// Consume the armed trace (TRACE applies to the next command only).
-	ctx := context.Background()
-	if pending.Valid() {
-		ctx = obs.ContextWith(ctx, *pending)
-		*pending = obs.SpanContext{}
-	}
-	switch verb {
-	case verbPing:
-		return writeLine(w, replyPong)
-	case verbTrace:
-		idStr, spanStr := splitVerb(arg)
-		id, err := obs.ParseTraceID(idStr)
-		span, serr := strconv.ParseUint(spanStr, 10, 64)
-		if err != nil || serr != nil {
-			return writeLine(w, replyErr, quote("malformed trace arguments"))
-		}
-		*pending = obs.SpanContext{Trace: id, Span: obs.SpanID(span)}
-		return writeLine(w, replyOK)
-	case verbSearch:
-		q, err := unquote(arg)
-		if err != nil {
-			return writeLine(w, replyErr, quote("malformed query argument"))
-		}
-		sp, _ := s.startOp(ctx, "remote.Search", q)
-		start := time.Now()
-		results, err := s.backend.Search(q)
-		s.finishOp(sp, "remote.Search", q, start, err)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		if err := writeLine(w, replyOK, strconv.Itoa(len(results))); err != nil {
-			return err
-		}
-		for _, p := range results {
-			if err := writeLine(w, quote(p)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case verbSearchPage:
-		fields := strings.SplitN(arg, " ", 3)
-		if len(fields) != 3 {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		after, aerr := strconv.ParseUint(fields[0], 10, 64)
-		limit, lerr := strconv.Atoi(fields[1])
-		q, qerr := unquote(fields[2])
-		if aerr != nil || lerr != nil || qerr != nil {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		var results []string
-		var next uint64
-		var err error
-		sp, opCtx := s.startOp(ctx, "remote.SearchPage", q)
-		start := time.Now()
-		if sb, ok := s.backend.(ScopedBackend); ok {
-			// The scoped form also carries the trace context through.
-			results, next, _, err = sb.SearchPageUnder(opCtx, q, "", after, limit)
-		} else if pb, ok := s.backend.(PagedBackend); ok {
-			results, next, err = pb.SearchPage(q, after, limit)
-		} else if after == 0 {
-			// Unpaged backend: everything as one page.
-			results, err = s.backend.Search(q)
-		}
-		s.finishOp(sp, "remote.SearchPage", q, start, err)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		if err := writeLine(w, replyOK, strconv.Itoa(len(results)), strconv.FormatUint(next, 10)); err != nil {
-			return err
-		}
-		for _, p := range results {
-			if err := writeLine(w, quote(p)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case verbSearchUnder:
-		fields := strings.SplitN(arg, " ", 3)
-		if len(fields) != 3 {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		after, aerr := strconv.ParseUint(fields[0], 10, 64)
-		limit, lerr := strconv.Atoi(fields[1])
-		scope, q, serr := cutQuotedPair(fields[2])
-		if aerr != nil || lerr != nil || serr != nil {
-			return writeLine(w, replyErr, quote("malformed page arguments"))
-		}
-		sb, ok := s.backend.(ScopedBackend)
-		if !ok {
-			return writeLine(w, replyErr, quote(encodeWireError(
-				&vfs.PathError{Op: "searchu", Path: scope, Err: vfs.ErrUnsupported})))
-		}
-		sp, opCtx := s.startOp(ctx, "remote.SearchUnder", q)
-		start := time.Now()
-		results, next, epoch, err := sb.SearchPageUnder(opCtx, q, scope, after, limit)
-		s.finishOp(sp, "remote.SearchUnder", q, start, err)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		if err := writeLine(w, replyOK, strconv.Itoa(len(results)),
-			strconv.FormatUint(next, 10), strconv.FormatUint(epoch, 10)); err != nil {
-			return err
-		}
-		for _, p := range results {
-			if err := writeLine(w, quote(p)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case verbResync:
-		rs, ok := s.backend.(Resyncer)
-		if !ok {
-			return writeLine(w, replyErr, quote(encodeWireError(
-				&vfs.PathError{Op: "resync", Path: "/", Err: vfs.ErrUnsupported})))
-		}
-		sp, opCtx := s.startOp(ctx, "remote.Resync", "")
-		start := time.Now()
-		err := rs.Resync(opCtx)
-		s.finishOp(sp, "remote.Resync", "", start, err)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		return writeLine(w, replyOK)
-	case verbFetch:
-		p, err := unquote(arg)
-		if err != nil {
-			return writeLine(w, replyErr, quote("malformed path argument"))
-		}
-		data, err := s.backend.Fetch(p)
-		if err != nil {
-			return writeLine(w, replyErr, quote(encodeWireError(err)))
-		}
-		if len(data) > maxFetch {
-			return writeLine(w, replyErr, quote("document too large"))
-		}
-		if err := writeLine(w, replyData, strconv.Itoa(len(data))); err != nil {
-			return err
-		}
-		_, err = w.Write(data)
-		return err
-	default:
-		return writeLine(w, replyErr, quote(fmt.Sprintf("unknown verb %q", verb)))
 	}
 }

@@ -8,12 +8,10 @@ import (
 	"hacfs/internal/wire"
 )
 
-// Binary codec for the multiplexed framing (DESIGN.md §12). The gob
-// stream of the legacy protocol re-sends type information and cannot
-// interleave messages; the binary codec writes every request and
-// response as one self-contained frame payload with a fixed field
-// schema, so frames from many in-flight requests can share a
-// connection. Every variable-length field is decoded against an
+// Binary codec for the multiplexed framing (DESIGN.md §12). Every
+// request and response is one self-contained frame payload with a
+// fixed field schema, so frames from many in-flight requests can share
+// a connection. Every variable-length field is decoded against an
 // explicit bound before any allocation.
 
 // maxIO bounds one read/write payload.

@@ -71,9 +71,7 @@ func (m rpcMetrics) done(start time.Time, err *error) {
 // clientMetrics is the client's handle bundle, resolved once at Dial
 // (against obs.Default()) or by SetObserver.
 type clientMetrics struct {
-	ops          map[opCode]rpcMetrics
-	retries      *obs.Counter // remotefs_rpc_retries_total
-	dialFailures *obs.Counter // remotefs_dial_failures_total
+	ops map[opCode]rpcMetrics
 }
 
 func newClientMetrics(o *obs.Observer) clientMetrics {
@@ -86,17 +84,5 @@ func newClientMetrics(o *obs.Observer) clientMetrics {
 			seconds: r.Histogram("remotefs_rpc_seconds", nil, "op", name),
 		}
 	}
-	return clientMetrics{
-		ops:          ops,
-		retries:      r.Counter("remotefs_rpc_retries_total"),
-		dialFailures: r.Counter("remotefs_dial_failures_total"),
-	}
-}
-
-// SetObserver redirects the client's metrics to o (they default to the
-// process-wide obs.Default()).
-func (c *Client) SetObserver(o *obs.Observer) {
-	c.mu.Lock()
-	c.met = newClientMetrics(o)
-	c.mu.Unlock()
+	return clientMetrics{ops: ops}
 }

@@ -13,9 +13,9 @@ import (
 
 // MuxClient is a vfs.FileSystem backed by a remote Server over the
 // multiplexed binary framing: any number of goroutines issue requests
-// concurrently over ONE connection, each tagged with a request ID —
-// where the legacy gob Client serializes them. Views onto different
-// tenants of the same server share the connection (see Tenant).
+// concurrently over ONE connection, each tagged with a request ID.
+// Views onto different tenants of the same server share the connection
+// (see Tenant).
 type MuxClient struct {
 	tenant string
 	mux    *wire.Mux
@@ -102,11 +102,25 @@ func (c *MuxClient) callCtx(ctx context.Context, req *request) (_ *response, err
 	sp, sc := c.startRPC(ctx, req.Op)
 	defer func() { sp.FinishErr(err) }()
 	req.Tenant = c.tenant
-	f, err := c.mux.CallOneSC(ctx, sc, rfReq, appendRequest(nil, req))
+	f, err := c.mux.CallOne(ctx, sc, rfReq, appendRequest(nil, req), idempotent(req.Op))
 	if err != nil {
 		return nil, fmt.Errorf("remotefs: %w", err)
 	}
 	return decodeRespFrame(f)
+}
+
+// idempotent reports whether op is safe to send twice, so a request
+// lost with its connection may be re-sent: it only reads, or (ssync)
+// converges to the same state. Writes are not — a lost response may
+// hide one that ran — nor is anything that opens or uses a file
+// handle, which a restarted server never issued.
+func idempotent(op opCode) bool {
+	switch op {
+	case opPing, opStat, opLstat, opReadDir, opReadFile, opReadlink,
+		opSearch, opSearchStream, opSync, opManifest, opBlobs:
+		return true
+	}
+	return false
 }
 
 func decodeRespFrame(f wire.Frame) (*response, error) {
@@ -161,7 +175,10 @@ func (c *MuxClient) SyncPathContext(ctx context.Context, path string) error {
 }
 
 // SearchPage runs a content query on the served volume and returns one
-// cursor page of matching paths (see Client.SearchPage).
+// cursor page of matching paths: query matches under scope, starting at
+// cursor after (0 = from the start), at most limit of them; the
+// returned cursor resumes the walk (0 = done). The server's volume must
+// implement Searcher; otherwise the call fails with vfs.ErrUnsupported.
 func (c *MuxClient) SearchPage(ctx context.Context, query, scope string, after uint64, limit int) ([]string, uint64, error) {
 	if after > (1<<63 - 1) {
 		return nil, 0, fmt.Errorf("remotefs: search cursor overflow")
@@ -187,7 +204,7 @@ func (c *MuxClient) SearchStream(ctx context.Context, query, scope string, pageS
 	sp, sc := c.startRPC(ctx, opSearchStream)
 	defer func() { sp.FinishErr(err) }()
 	req := &request{Op: opSearchStream, Tenant: c.tenant, Path: scope, Path2: query, N: pageSize}
-	st, err := c.mux.CallSC(ctx, sc, rfReq, appendRequest(nil, req))
+	st, err := c.mux.Call(ctx, sc, rfReq, appendRequest(nil, req), true)
 	if err != nil {
 		return fmt.Errorf("remotefs: %w", err)
 	}

@@ -196,24 +196,6 @@ func TestMuxTenantRouting(t *testing.T) {
 	}
 }
 
-// TestGobTenantRouting checks the legacy protocol reaches tenant
-// volumes too (SetTenant on the gob client).
-func TestGobTenantRouting(t *testing.T) {
-	alice := vfs.New()
-	vols := newTestVolumes(map[string]vfs.FileSystem{"": vfs.New(), "alice": alice})
-	addr := hostServe(t, vols)
-	c := Dial(addr)
-	c.SetTimeout(5 * time.Second)
-	defer c.Close()
-	c.SetTenant("alice")
-	if err := c.WriteFile("/f", []byte("gob tenant")); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := alice.ReadFile("/f"); err != nil || string(data) != "gob tenant" {
-		t.Fatalf("alice volume = %q, %v", data, err)
-	}
-}
-
 // admitReject fails admission with a typed backpressure error.
 type admitReject struct{ fsys vfs.FileSystem }
 
@@ -291,13 +273,6 @@ func TestMuxSearchStream(t *testing.T) {
 	if err := c.SearchStream(ctx, "fingerprint", "/docs", 5, func([]string) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("stream consumer error = %v, want %v", err, boom)
 	}
-	// Streaming on the legacy protocol is cleanly unsupported.
-	lc := Dial(c.mux.Addr())
-	lc.SetTimeout(5 * time.Second)
-	defer lc.Close()
-	if err := lc.do(&request{Op: opSearchStream, Path: "/docs", Path2: "fingerprint"}); !errors.Is(err, vfs.ErrUnsupported) {
-		t.Fatalf("legacy stream = %v, want ErrUnsupported", err)
-	}
 }
 
 func TestMuxSyncPath(t *testing.T) {
@@ -320,7 +295,7 @@ func TestMuxSyncPath(t *testing.T) {
 }
 
 // TestMuxManyInFlight floods one connection with concurrent requests
-// from many goroutines — the multiplexing the gob protocol lacks.
+// from many goroutines.
 func TestMuxManyInFlight(t *testing.T) {
 	backing := vfs.New()
 	c := serveMuxClient(t, backing)

@@ -5,14 +5,16 @@
 // systems to share certain directories").
 //
 // A Server wraps any vfs.FileSystem (a raw MemFS or a live HAC volume)
-// and serves it; a Client implements vfs.FileSystem, so the remote
+// and serves it; a MuxClient implements vfs.FileSystem, so the remote
 // volume can be mounted into a local tree with MemFS.Mount, browsed,
 // written to, and even used as the substrate of a local HAC layer.
 // This is how one user's personal classification becomes visible to
 // coworkers (§3.2).
 //
-// The wire format is gob-encoded request/response pairs over one TCP
-// connection per client; requests are answered in order.
+// The protocol is the multiplexed binary framing of internal/wire
+// (DESIGN.md §12): each request and each response is one frame whose
+// payload is the fixed-schema codec of codec.go, and many requests —
+// from many goroutines and many tenant views — share one connection.
 package remotefs
 
 import (
@@ -57,16 +59,14 @@ const (
 	// Path (the paper's ssync, over the wire). Only file systems that
 	// implement PathSyncer — a HAC volume — answer it.
 	opSync
-	// opSearchStream is opSearch in streaming form, binary framing only:
-	// the server walks the cursor itself and returns every page as its
+	// opSearchStream is opSearch in streaming form: the server walks the cursor itself and returns every page as its
 	// own response frame, the last one flagged final. N = page size,
 	// Size = max pages (0 = all).
 	opSearchStream
 	// opManifest returns the served volume's content-addressed manifest
 	// (encoded cas.Manifest in Data). Only volumes over a cas substrate
-	// answer; others reply Unsupported — which is also how manifest-diff
-	// sync negotiates: a legacy or non-CAS peer rejects the op and the
-	// caller falls back to full-content sync.
+	// answer; others reply Unsupported, and manifest-diff sync then
+	// falls back to full-content sync.
 	opManifest
 	// opBlobs fetches blob contents by hash: request Data is concatenated
 	// 32-byte SHA-256 hashes, response Data is, per requested hash in
@@ -87,15 +87,6 @@ type request struct {
 	Whence int
 	Size   int64
 	N      int // read length
-
-	// Propagated trace context (DESIGN.md §13), legacy gob protocol
-	// only — the binary framing ships it as the wire trace header
-	// instead, so the strict binary codec is unchanged. Gob omits
-	// zero-valued fields, so an untraced request from a new client is
-	// byte-identical to a legacy client's, and old servers decoding a
-	// traced request silently drop the unknown fields.
-	TraceHi, TraceLo uint64 // 128-bit trace ID halves (0,0 = untraced)
-	TraceSpan        uint64 // caller's span ID, the server span's parent
 }
 
 // response is one marshalled result.

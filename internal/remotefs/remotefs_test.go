@@ -2,6 +2,7 @@ package remotefs
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,24 +16,12 @@ import (
 	"hacfs/internal/andrew"
 	"hacfs/internal/hac"
 	"hacfs/internal/vfs"
+	"hacfs/internal/wire"
 )
 
 // serve exports fsys on a loopback listener and returns a connected
 // client.
-func serve(t *testing.T, fsys vfs.FileSystem) *Client {
-	t.Helper()
-	srv := NewServer(fsys, nil)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(srv.Close)
-	c := Dial(l.Addr().String())
-	c.SetTimeout(5 * time.Second)
-	t.Cleanup(func() { c.Close() })
-	return c
-}
+func serve(t *testing.T, fsys vfs.FileSystem) *MuxClient { return serveMuxClient(t, fsys) }
 
 func TestBasicOpsOverWire(t *testing.T) {
 	backing := vfs.New()
@@ -314,7 +303,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := Dial(l.Addr().String())
+			c := DialMux(l.Addr().String())
 			defer c.Close()
 			dir := "/c" + string(rune('a'+i))
 			if err := c.MkdirAll(dir); err != nil {
@@ -369,16 +358,21 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	// Raw garbage: the server must drop the connection, not crash.
+	// Raw garbage instead of the hello: the server must close that
+	// connection, not crash.
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Write([]byte("\x00\xde\xad\xbe\xefnot gob at all"))
-	conn.Close()
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	conn.Write([]byte("\x00\xde\xad\xbe\xefnot the hello"))
+	if n, err := conn.Read(make([]byte, 64)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("read after garbage = %d bytes, %v; want the connection closed", n, err)
+	}
 
 	// A well-behaved client still works afterwards.
-	c := Dial(l.Addr().String())
+	c := DialMux(l.Addr().String())
 	defer c.Close()
 	if err := c.Ping(); err != nil {
 		t.Fatalf("server unusable after garbage: %v", err)
@@ -404,5 +398,68 @@ func TestClientEquivalentTreeState(t *testing.T) {
 	rf, _ := vfs.Files(c, "/")
 	if !reflect.DeepEqual(lf, rf) {
 		t.Fatalf("states diverged: %v vs %v", lf, rf)
+	}
+}
+
+// TestServerRejectsMalformedFrames: past the hello, a request whose
+// payload does not decode or whose frame type is unknown gets a typed
+// ErrInvalid reply on a connection that keeps serving, and a frame
+// declaring more than the payload bound closes only that connection.
+func TestServerRejectsMalformedFrames(t *testing.T) {
+	c := serve(t, vfs.New())
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", c.mux.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteHello(conn, wire.Version); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadHello(conn); err != nil {
+		t.Fatal(err)
+	}
+	good := appendRequest(nil, &request{Op: opStat, Path: "/"})
+	for _, f := range []wire.Frame{
+		{Type: rfReq, ID: 1, Payload: good[:len(good)-1]},   // cut short
+		{Type: rfReq, ID: 2, Payload: append(good, 0)},      // trailing byte
+		{Type: rfReq, ID: 3, Payload: []byte{byte(opStat)}}, // fields missing
+		{Type: 0xee, ID: 4, Payload: good},
+	} {
+		if err := wire.WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ReadFrame(conn, maxFrameBuf)
+		if err != nil {
+			t.Fatalf("server dropped the connection on frame %d: %v", f.ID, err)
+		}
+		resp, err := decodeRespFrame(reply)
+		if err != nil || reply.ID != f.ID {
+			t.Fatalf("reply to frame %d: id %d, %v", f.ID, reply.ID, err)
+		}
+		if err := resp.Err.decode(); !errors.Is(err, vfs.ErrInvalid) {
+			t.Fatalf("reply to frame %d = %v, want a typed ErrInvalid", f.ID, err)
+		}
+	}
+	if err := wire.WriteFrame(conn, wire.Frame{Type: rfReq, ID: 5, Payload: good}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := wire.ReadFrame(conn, maxFrameBuf); err != nil || reply.ID != 5 {
+		t.Fatalf("valid request after malformed ones: id %d, %v", reply.ID, err)
+	}
+
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrameBuf+1<<20)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 64)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("read after oversize frame = %d bytes, %v; want the connection closed", n, err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("other connection after an oversize frame: %v", err)
 	}
 }

@@ -1,16 +1,13 @@
 package remotefs
 
 import (
-	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hacfs/internal/obs"
@@ -49,20 +46,13 @@ func (s soloVolumes) Volume(tenant string) (vfs.FileSystem, error) {
 
 func (s soloVolumes) Admit(tenant, op string) (func(), error) { return func() {}, nil }
 
-// Server exports file systems to any number of clients, speaking both
-// the legacy one-request-at-a-time gob protocol and the multiplexed
-// binary framing; the first bytes of each connection select the
-// protocol, so old clients keep working unchanged.
+// Server exports file systems to any number of clients over the
+// multiplexed binary framing.
 type Server struct {
+	*wire.ConnServer
 	vols   Volumes
 	logger *log.Logger
 	obsv   *obs.Observer
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer returns a server exporting fsys as its only volume. logger
@@ -74,79 +64,14 @@ func NewServer(fsys vfs.FileSystem, logger *log.Logger) *Server {
 // NewHostServer returns a server routing requests through vols — the
 // multi-tenant form (see internal/serve.Host).
 func NewHostServer(vols Volumes, logger *log.Logger) *Server {
-	return &Server{vols: vols, logger: logger, obsv: obs.Default(), conns: make(map[net.Conn]struct{})}
+	s := &Server{vols: vols, logger: logger, obsv: obs.Default()}
+	s.ConnServer = wire.NewConnServer(s.serveConn)
+	return s
 }
 
 // SetObserver redirects the server's spans and slow-op log to o (they
 // default to the process-wide obs.Default()). Call before Serve.
 func (s *Server) SetObserver(o *obs.Observer) { s.obsv = o }
-
-// Serve accepts connections until Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
-// CloseListener stops accepting new connections but leaves the live
-// ones serving — the first step of a graceful shutdown (drain the
-// volumes, checkpoint, then Close).
-func (s *Server) CloseListener() {
-	s.mu.Lock()
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	s.mu.Unlock()
-}
-
-// Close stops the server and all connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-}
 
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.logger != nil {
@@ -204,9 +129,8 @@ type handleState struct {
 	tenant string
 }
 
-// session is one client connection's state, shared by both protocol
-// decoders. The handle table is locked because binary-framing requests
-// execute concurrently.
+// session is one client connection's state. The handle table is locked
+// because requests on one connection execute concurrently.
 type session struct {
 	vols Volumes
 	obsv *obs.Observer
@@ -250,150 +174,64 @@ func (sess *session) dropHandle(id uint64) {
 	delete(sess.handles, id)
 }
 
-// serveConn sniffs the protocol and dispatches. Binary connections
-// open with the wire magic; everything else is the legacy gob stream.
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	if prefix, err := r.Peek(len(wire.Magic)); err == nil && wire.IsMagic(prefix) {
-		s.serveMux(conn, r)
-		return
-	}
-	s.serveGob(conn, r)
-}
-
-// serveGob answers the legacy one-request-at-a-time protocol.
-func (s *Server) serveGob(conn net.Conn, r *bufio.Reader) {
-	sess := newSession(s.vols, s.obsv)
-	defer sess.closeAll()
-	dec := gob.NewDecoder(r)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF {
-				s.logf("remotefs: decode: %v", err)
-			}
-			return
-		}
-		var parent obs.SpanContext
-		if req.TraceHi != 0 || req.TraceLo != 0 {
-			parent = obs.SpanContext{
-				Trace: obs.TraceIDFromWords(req.TraceHi, req.TraceLo),
-				Span:  obs.SpanID(req.TraceSpan),
-			}
-		}
-		resp := sess.dispatch(context.Background(), &req, parent)
-		if err := enc.Encode(resp); err != nil {
-			s.logf("remotefs: encode: %v", err)
-			return
-		}
-	}
-}
-
 // Binary frame types.
 const (
 	rfReq  uint8 = 1 // client → server, payload = encoded request
 	rfResp uint8 = 2 // server → client, payload = encoded response
-	rfErr  uint8 = 3 // protocol-level error, payload = message
+	rfErr  uint8 = 3 // framing-version error, payload = message
 )
 
 // maxConnInflight bounds concurrently executing requests per
 // connection, protecting the server from one hostile client.
 const maxConnInflight = 256
 
-// muxWriter serializes response frames. Frames accumulate in a
-// buffered writer and only the last sender in a pack flushes, so one
-// syscall carries a whole batch of responses under load while an idle
-// connection still sees every frame immediately.
-type muxWriter struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	writers atomic.Int64
+func sendResp(w *wire.FrameWriter, id uint64, flags uint8, resp *response) error {
+	return w.Send(wire.Frame{Type: rfResp, Flags: flags, ID: id, Payload: appendResponse(nil, resp)})
 }
 
-func newMuxWriter(conn net.Conn) *muxWriter {
-	return &muxWriter{bw: bufio.NewWriterSize(conn, 64<<10)}
+// malformed types a request frame the server could not decode, so the
+// client sees vfs.ErrInvalid.
+func malformed(err error) *wireError {
+	return &wireError{Op: "decode", Kind: "Invalid", Msg: "remotefs: malformed request: " + err.Error()}
 }
 
-func (w *muxWriter) send(f wire.Frame) error {
-	w.writers.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	err := wire.WriteFrame(w.bw, f)
-	if w.writers.Add(-1) == 0 && err == nil {
-		err = w.bw.Flush()
-	}
-	return err
-}
-
-func (w *muxWriter) sendResp(id uint64, flags uint8, resp *response) error {
-	return w.send(wire.Frame{Type: rfResp, Flags: flags, ID: id, Payload: appendResponse(nil, resp)})
-}
-
-// serveMux answers the multiplexed binary framing: every request frame
-// runs on its own goroutine (bounded), responses interleave by ID, and
-// streamed searches emit one frame per page.
-func (s *Server) serveMux(conn net.Conn, r *bufio.Reader) {
-	ver, err := wire.ReadHello(r)
-	if err != nil {
-		return
-	}
-	// Always answer with the server's own hello: a client speaking a
-	// different framing version reads it and reports a clean versioned
-	// error instead of misparsing a frame.
-	if err := wire.WriteHello(conn, wire.Version); err != nil {
-		return
-	}
-	w := newMuxWriter(conn)
-	if ver != wire.Version {
-		w.send(wire.Frame{Type: rfErr, Flags: wire.FlagFinal,
-			Payload: []byte(fmt.Sprintf("unsupported protocol version %d (server speaks %d)", ver, wire.Version))})
-		return
-	}
+// serveConn answers the multiplexed binary framing: every request
+// frame runs on its own goroutine (bounded), responses interleave by
+// ID, and streamed searches emit one frame per page. A connection that
+// does not open with the hello is closed.
+func (s *Server) serveConn(conn net.Conn) {
 	sess := newSession(s.vols, s.obsv)
 	defer sess.closeAll()
-	sem := make(chan struct{}, maxConnInflight)
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
-	for {
-		f, err := wire.ReadFrame(r, maxFrameBuf)
-		if err != nil {
+	err := wire.ServeConn(conn, rfErr, maxFrameBuf, maxConnInflight, func(w *wire.FrameWriter, f wire.Frame) {
+		if f.Type != rfReq {
+			sendResp(w, f.ID, wire.FlagFinal, &response{Err: malformed(fmt.Errorf("unexpected frame type %d", f.Type))})
 			return
 		}
-		if f.Type != rfReq {
-			w.send(wire.Frame{Type: rfErr, Flags: wire.FlagFinal, ID: f.ID,
-				Payload: []byte(fmt.Sprintf("unexpected frame type %d", f.Type))})
-			continue
+		var req request
+		if err := decodeRequest(f.Payload, &req); err != nil {
+			sendResp(w, f.ID, wire.FlagFinal, &response{Err: malformed(err)})
+			return
 		}
-		sem <- struct{}{}
-		reqWG.Add(1)
-		go func(f wire.Frame) {
-			defer reqWG.Done()
-			defer func() { <-sem }()
-			var req request
-			if err := decodeRequest(f.Payload, &req); err != nil {
-				w.send(wire.Frame{Type: rfErr, Flags: wire.FlagFinal, ID: f.ID, Payload: []byte(err.Error())})
-				return
-			}
-			parent := obs.SpanContext{Trace: f.Trace, Span: f.Span}
-			if req.Op == opSearchStream {
-				sess.streamSearch(context.Background(), w, f.ID, &req, parent)
-				return
-			}
-			resp := sess.dispatch(context.Background(), &req, parent)
-			if err := w.sendResp(f.ID, wire.FlagFinal, resp); err != nil {
-				s.logf("remotefs: send: %v", err)
-			}
-		}(f)
+		parent := obs.SpanContext{Trace: f.Trace, Span: f.Span}
+		if req.Op == opSearchStream {
+			sess.streamSearch(context.Background(), w, f.ID, &req, parent)
+			return
+		}
+		resp := sess.dispatch(context.Background(), &req, parent)
+		if err := sendResp(w, f.ID, wire.FlagFinal, resp); err != nil {
+			s.logf("remotefs: send: %v", err)
+		}
+	})
+	if err != nil && !errors.Is(err, io.EOF) {
+		s.logf("remotefs: %s: %v", conn.RemoteAddr(), err)
 	}
 }
 
 // streamSearch walks the whole cursor server-side, emitting one
 // response frame per page; the last page carries FlagFinal. Page size
 // comes from req.N, an optional page budget from req.Size.
-func (sess *session) streamSearch(ctx context.Context, w *muxWriter, id uint64, req *request, parent obs.SpanContext) {
-	fail := func(we *wireError) { w.sendResp(id, wire.FlagFinal, &response{Err: we}) }
+func (sess *session) streamSearch(ctx context.Context, w *wire.FrameWriter, id uint64, req *request, parent obs.SpanContext) {
+	fail := func(we *wireError) { sendResp(w, id, wire.FlagFinal, &response{Err: we}) }
 	fsys, tenant, release, we := sess.admit(req)
 	if we != nil {
 		fail(we)
@@ -435,7 +273,7 @@ func (sess *session) streamSearch(ctx context.Context, w *muxWriter, id uint64, 
 		if final {
 			flags = wire.FlagFinal
 		}
-		if err := w.sendResp(id, flags, &response{Strs: paths, Off: int64(next)}); err != nil {
+		if err := sendResp(w, id, flags, &response{Strs: paths, Off: int64(next)}); err != nil {
 			return
 		}
 		if final {
@@ -595,10 +433,6 @@ func (sess *session) exec(ctx context.Context, fsys vfs.FileSystem, req *request
 	case opReadDir:
 		entries, err := fsys.ReadDir(req.Path)
 		return &response{Entries: entries, Err: encodeErr(err)}
-	case opSearchStream:
-		// Streaming needs the framing's multi-frame responses; the
-		// legacy protocol pages with opSearch instead.
-		return &response{Err: &wireError{Kind: "Unsupported", Msg: "remotefs: streamed search requires the binary protocol"}}
 	case opManifest:
 		bs, ok := fsys.(BlobSource)
 		if !ok {

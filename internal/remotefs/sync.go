@@ -14,11 +14,10 @@ import (
 // volume by fetching its manifest — paths and content hashes, a few
 // dozen bytes per file — diffing the hashes against its own blob store,
 // and fetching only the blobs it is missing. At 1% churn that ships
-// roughly 1% of the content a full copy would, plus the manifest. The
-// capability negotiates itself: a server without a content-addressed
-// volume answers opManifest with Unsupported, and MirrorVolume falls
-// back to walking the remote tree and copying every file — the exact
-// behavior a legacy peer always had.
+// roughly 1% of the content a full copy would, plus the manifest. A
+// server without a content-addressed volume answers opManifest with
+// Unsupported, and MirrorVolume falls back to walking the remote tree
+// and copying every file.
 
 // Batching bounds for blob fetches: each opBlobs round trip carries at
 // most syncBatchCount hashes and is sized (using the manifest's sizes)
@@ -100,22 +99,9 @@ func decodeBlobList(data []byte, want int) ([][]byte, error) {
 	return blobs, nil
 }
 
-// Peer is the client surface MirrorVolume drives: the remote volume's
-// file operations for the full-copy fallback plus the raw request
-// channel for the manifest ops. Both Client and MuxClient satisfy it.
-type Peer interface {
-	vfs.FileSystem
-	callCtx(ctx context.Context, req *request) (*response, error)
-}
-
-var (
-	_ Peer = (*Client)(nil)
-	_ Peer = (*MuxClient)(nil)
-)
-
 // FetchManifest retrieves the remote volume's content-addressed
 // manifest. A server without one answers vfs.ErrUnsupported.
-func FetchManifest(ctx context.Context, p Peer, dst *cas.Manifest) (wireBytes int64, err error) {
+func FetchManifest(ctx context.Context, p *MuxClient, dst *cas.Manifest) (wireBytes int64, err error) {
 	resp, err := p.callCtx(ctx, &request{Op: opManifest})
 	if err != nil {
 		return 0, err
@@ -134,7 +120,7 @@ func FetchManifest(ctx context.Context, p Peer, dst *cas.Manifest) (wireBytes in
 // fetchBlobs retrieves one batch of blobs by hash, verifying each
 // against the hash it was requested under — a corrupt or hostile server
 // cannot poison the local store.
-func fetchBlobs(ctx context.Context, p Peer, hashes []cas.Hash) ([][]byte, error) {
+func fetchBlobs(ctx context.Context, p *MuxClient, hashes []cas.Hash) ([][]byte, error) {
 	resp, err := p.callCtx(ctx, &request{Op: opBlobs, Data: joinHashes(hashes)})
 	if err != nil {
 		return nil, err
@@ -169,7 +155,7 @@ type SyncStats struct {
 // exposing Under()) and the server exports a manifest, only blobs
 // missing from dst's store cross the wire; otherwise every file is
 // copied. The returned stats say which path ran and what it cost.
-func MirrorVolume(ctx context.Context, p Peer, dst vfs.FileSystem) (SyncStats, error) {
+func MirrorVolume(ctx context.Context, p *MuxClient, dst vfs.FileSystem) (SyncStats, error) {
 	if cfs := casTarget(dst); cfs != nil {
 		var m cas.Manifest
 		mBytes, err := FetchManifest(ctx, p, &m)
@@ -177,7 +163,7 @@ func MirrorVolume(ctx context.Context, p Peer, dst vfs.FileSystem) (SyncStats, e
 		case err == nil:
 			return mirrorByManifest(ctx, p, cfs, &m, mBytes)
 		case errors.Is(err, vfs.ErrUnsupported):
-			// Legacy or non-CAS peer: negotiate down to the full copy.
+			// The peer's volume is not content-addressed: full copy.
 		default:
 			return SyncStats{}, err
 		}
@@ -201,7 +187,7 @@ func casTarget(dst vfs.FileSystem) *cas.FS {
 
 // mirrorByManifest is the diff path: fetch missing blobs in size-bounded
 // batches, then atomically swing the tree to the manifest.
-func mirrorByManifest(ctx context.Context, p Peer, dst *cas.FS, m *cas.Manifest, mBytes int64) (SyncStats, error) {
+func mirrorByManifest(ctx context.Context, p *MuxClient, dst *cas.FS, m *cas.Manifest, mBytes int64) (SyncStats, error) {
 	stats := SyncStats{Mode: "manifest-diff", ManifestBytes: mBytes}
 	store := dst.Store()
 	missing := m.MissingFrom(store)
@@ -253,7 +239,7 @@ func mirrorByManifest(ctx context.Context, p Peer, dst *cas.FS, m *cas.Manifest,
 
 // mirrorFull is the fallback: clear the destination and copy the whole
 // remote tree through the ordinary file operations.
-func mirrorFull(ctx context.Context, p Peer, dst vfs.FileSystem) (SyncStats, error) {
+func mirrorFull(ctx context.Context, p *MuxClient, dst vfs.FileSystem) (SyncStats, error) {
 	stats := SyncStats{Mode: "full"}
 	rootEntries, err := dst.ReadDir("/")
 	if err != nil {

@@ -80,10 +80,9 @@ func requireSameTree(t *testing.T, want, got vfs.FileSystem) {
 func TestMirrorVolumeManifestDiff(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		dial func(t *testing.T, fsys vfs.FileSystem) Peer
+		dial func(t *testing.T, fsys vfs.FileSystem) *MuxClient
 	}{
-		{"gob", func(t *testing.T, fsys vfs.FileSystem) Peer { return serve(t, fsys) }},
-		{"mux", func(t *testing.T, fsys vfs.FileSystem) Peer { return serveMuxClient(t, fsys) }},
+		{"mux", serveMuxClient},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := cas.New(nil)
@@ -159,10 +158,10 @@ func TestMirrorVolumeThroughHACVolume(t *testing.T) {
 	requireSameTree(t, substrate, dst)
 }
 
-// A legacy or non-CAS server answers opManifest with Unsupported and
-// the mirror negotiates down to the full copy; the result is still an
-// exact replica.
-func TestMirrorVolumeLegacyFallback(t *testing.T) {
+// A server whose volume is not content-addressed answers opManifest
+// with Unsupported and the mirror falls back to the full copy; the
+// result is still an exact replica.
+func TestMirrorVolumeNonCASPeerFallback(t *testing.T) {
 	src := vfs.New()
 	syncCorpus(t, src)
 	peer := serve(t, src)
@@ -202,51 +201,14 @@ func TestMirrorVolumeNonCASDestination(t *testing.T) {
 	requireSameTree(t, src, dst)
 }
 
-// fakePeer answers the manifest ops from a local hook while delegating
-// the file surface to an embedded file system.
-type fakePeer struct {
-	vfs.FileSystem
-	respond func(req *request) (*response, error)
-	calls   map[opCode]int
+// hookedVolume serves a cas volume over the real wire with a hook in
+// front of its blob fetches, so a test can count, corrupt or fail them.
+type hookedVolume struct {
+	*cas.FS
+	blobs func(hashes []cas.Hash) ([][]byte, error)
 }
 
-func (p *fakePeer) callCtx(_ context.Context, req *request) (*response, error) {
-	if p.calls == nil {
-		p.calls = make(map[opCode]int)
-	}
-	p.calls[req.Op]++
-	return p.respond(req)
-}
-
-// casPeer serves src's manifest and blobs through the real wire
-// encoding, locally.
-func casPeer(src *cas.FS) *fakePeer {
-	return &fakePeer{FileSystem: src, respond: func(req *request) (*response, error) {
-		switch req.Op {
-		case opManifest:
-			m, err := src.CASManifest()
-			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
-			}
-			return &response{Data: m.EncodeBinary()}, nil
-		case opBlobs:
-			hashes, err := splitHashes(req.Data)
-			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
-			}
-			blobs, err := src.CASBlobs(hashes)
-			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
-			}
-			data, err := encodeBlobList(blobs)
-			if err != nil {
-				return &response{Err: encodeErr(err)}, nil
-			}
-			return &response{Data: data, N: len(blobs)}, nil
-		}
-		return &response{Err: encodeErr(vfs.ErrUnsupported)}, nil
-	}}
-}
+func (v *hookedVolume) CASBlobs(hashes []cas.Hash) ([][]byte, error) { return v.blobs(hashes) }
 
 // Blob fetches are packed into count-bounded batches.
 func TestMirrorVolumeBatchesBlobFetches(t *testing.T) {
@@ -257,7 +219,11 @@ func TestMirrorVolumeBatchesBlobFetches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	peer := casPeer(src)
+	var calls int
+	peer := serveMuxClient(t, &hookedVolume{FS: src, blobs: func(hashes []cas.Hash) ([][]byte, error) {
+		calls++
+		return src.CASBlobs(hashes)
+	}})
 	dst := cas.New(nil)
 	stats, err := MirrorVolume(context.Background(), peer, dst)
 	if err != nil {
@@ -266,8 +232,8 @@ func TestMirrorVolumeBatchesBlobFetches(t *testing.T) {
 	if stats.BlobsFetched != n {
 		t.Fatalf("BlobsFetched = %d, want %d", stats.BlobsFetched, n)
 	}
-	if got := peer.calls[opBlobs]; got != 2 {
-		t.Fatalf("opBlobs round trips = %d, want 2", got)
+	if calls != 2 {
+		t.Fatalf("opBlobs round trips = %d, want 2", calls)
 	}
 	requireSameTree(t, src, dst)
 }
@@ -277,15 +243,14 @@ func TestMirrorVolumeBatchesBlobFetches(t *testing.T) {
 func TestMirrorVolumeRejectsWrongContent(t *testing.T) {
 	src := cas.New(nil)
 	syncCorpus(t, src)
-	honest := casPeer(src)
-	peer := &fakePeer{FileSystem: src, respond: func(req *request) (*response, error) {
-		resp, err := honest.respond(req)
-		if err == nil && req.Op == opBlobs && resp.Err == nil && len(resp.Data) > 8 {
-			resp.Data = bytes.Clone(resp.Data)
-			resp.Data[len(resp.Data)-1] ^= 0x01 // corrupt the last blob's content
+	peer := serveMuxClient(t, &hookedVolume{FS: src, blobs: func(hashes []cas.Hash) ([][]byte, error) {
+		blobs, err := src.CASBlobs(hashes)
+		if err == nil && len(blobs) > 0 {
+			last := bytes.Clone(blobs[len(blobs)-1])
+			blobs[len(blobs)-1] = append(last, 'x') // corrupt the last blob's content
 		}
-		return resp, err
-	}}
+		return blobs, err
+	}})
 	dst := cas.New(nil)
 	_, err := MirrorVolume(context.Background(), peer, dst)
 	if err == nil || !strings.Contains(err.Error(), "wrong content") {
@@ -301,18 +266,17 @@ func TestMirrorVolumeRejectsWrongContent(t *testing.T) {
 func TestMirrorVolumeFailureReleasesFetchedBlobs(t *testing.T) {
 	src := cas.New(nil)
 	syncCorpus(t, src)
-	honest := casPeer(src)
-	fail := errors.New("link dropped")
+	var peer *MuxClient
 	var blobCalls int
-	peer := &fakePeer{FileSystem: src, respond: func(req *request) (*response, error) {
-		if req.Op == opBlobs {
-			blobCalls++
-			if blobCalls > 1 {
-				return nil, fail
-			}
+	peer = serveMuxClient(t, &hookedVolume{FS: src, blobs: func(hashes []cas.Hash) ([][]byte, error) {
+		blobCalls++
+		if blobCalls > 1 {
+			// The link drops while the second batch is in flight.
+			peer.Close()
+			return nil, errors.New("link dropped")
 		}
-		return honest.respond(req)
-	}}
+		return src.CASBlobs(hashes)
+	}})
 	// Two files each over half the batch byte budget force at least two
 	// round trips, so the cut connection interrupts a partially fetched
 	// sync with temporaries already in the store.
@@ -325,9 +289,11 @@ func TestMirrorVolumeFailureReleasesFetchedBlobs(t *testing.T) {
 	}
 	shared := cas.NewStore()
 	dst := cas.New(shared)
-	_, err := MirrorVolume(context.Background(), peer, dst)
-	if !errors.Is(err, fail) {
-		t.Fatalf("err = %v, want %v", err, fail)
+	if _, err := MirrorVolume(context.Background(), peer, dst); err == nil {
+		t.Fatal("sync over a dropped link succeeded")
+	}
+	if blobCalls < 2 {
+		t.Fatalf("opBlobs round trips = %d, want the second one cut", blobCalls)
 	}
 	if got := shared.UniqueBytes(); got != 0 {
 		t.Fatalf("failed sync left %d bytes pinned in the shared store", got)

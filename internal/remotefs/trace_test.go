@@ -170,30 +170,35 @@ func TestTraceSpansClientAndServerRings(t *testing.T) {
 	}
 }
 
-// TestGobLegacyClientUntraced: the gob protocol's trace fields are
-// optional — a client that never sets them (what a pre-trace binary
-// sends) must be served exactly as before against a tracing-enabled
-// server, and the server must not fabricate a joined trace for it.
-func TestGobLegacyClientUntraced(t *testing.T) {
+// TestUntracedRequestStandaloneServerSpan: the trace header is
+// optional — a request that carries none (here from a client whose
+// tracing is off) is served exactly as a traced one, cheap ops stay
+// spanless server-side, and a semantic op gets a standalone server
+// trace rather than a fabricated parent.
+func TestUntracedRequestStandaloneServerSpan(t *testing.T) {
 	srvObs := obs.NewObserver()
 	addr := traceHost(t, srvObs)
-	lc := Dial(addr)
-	lc.SetTimeout(5 * time.Second)
-	defer lc.Close()
-	lc.SetTenant("alice")
+	mc := DialMux(addr)
+	mc.SetTimeout(5 * time.Second)
+	defer mc.Close()
+	mc.SetObserver(obs.Discard())
+	c := mc.Tenant("alice")
 
 	// Cheap untraced ops stay spanless server-side.
-	if _, err := lc.ReadDir("/docs"); err != nil {
+	if _, err := c.ReadDir("/docs"); err != nil {
 		t.Fatal(err)
+	}
+	if sp := findSpan(srvObs.Tracer().Recent(), "rfs.readdir"); sp != nil {
+		t.Fatalf("untraced readdir produced server span %+v", sp)
 	}
 	// A semantic op still works; the server mints its own standalone
 	// trace (Parent 0 — nothing upstream to join).
-	paths, _, err := lc.SearchPage(context.Background(), "alicedoc", "/", 0, 32)
+	paths, _, err := c.SearchPage(context.Background(), "alicedoc", "/", 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 8 {
-		t.Fatalf("legacy search returned %d paths, want 8", len(paths))
+		t.Fatalf("untraced search returned %d paths, want 8", len(paths))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -183,8 +183,8 @@ func recount(fsys vfs.FileSystem, u *usage) error {
 	return nil
 }
 
-// SetDefault routes requests that name no tenant (legacy clients, the
-// empty tenant) to the named one.
+// SetDefault routes requests that name no tenant (the empty tenant,
+// as a client that never calls Tenant sends) to the named one.
 func (h *Host) SetDefault(name string) {
 	h.mu.Lock()
 	h.def = name

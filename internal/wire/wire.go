@@ -1,19 +1,14 @@
 // Package wire implements the length-prefixed, multiplexed binary
-// framing shared by the remote (content-based access) and remotefs
-// (file-system export) protocols — the serving substrate that turns
-// hacvold from a demo daemon into a multi-tenant server (DESIGN.md
-// §12).
+// framing of the remote (content-based access) and remotefs
+// (file-system export) protocols — the one request framing those
+// services speak, and the serving substrate that turns hacvold from a
+// demo daemon into a multi-tenant server (DESIGN.md §12).
 //
-// A binary connection opens with a 5-byte hello in each direction:
+// A connection opens with a 5-byte hello in each direction:
 //
 //	"HACX" version(1)
 //
-// The magic cannot collide with either legacy protocol (the remote
-// line protocol starts with an ASCII verb such as "PING"; the remotefs
-// gob stream starts with a small varint-framed type definition), so a
-// server can sniff the first bytes of a connection and fall back to
-// the legacy decoder for old clients — auto-negotiation rather than
-// rejection.
+// A server closes any connection whose first bytes are not the hello.
 //
 // After the hello, both directions carry frames:
 //
@@ -35,12 +30,15 @@
 // header or longer than the caller's payload budget is rejected before
 // any allocation, so a hostile length can never over-allocate.
 //
-// The trace header is optional and additive within version 1: a
-// receiver that predates it would reject the unknown flag only if it
-// validated flags (none do — flags are a bitfield by design), and the
-// legacy peers that matter (line-protocol and gob clients) never see
-// binary frames at all, because the magic-sniffing server routes them
-// to the legacy decoders.
+// The trace header is the only way a trace context crosses the wire.
+// It is optional within version 1: flags are a bitfield, and an
+// untraced frame is byte-identical to one from a peer that never
+// traces.
+//
+// Server side, ConnServer is the accept loop the protocol servers
+// share and ServeConn runs one framed connection; client side, Mux
+// multiplexes calls over one connection. Both write through
+// FrameWriter, which batches the frames of concurrent senders.
 package wire
 
 import (
@@ -51,8 +49,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hacfs/internal/obs"
@@ -82,8 +80,7 @@ const FlagTrace = 0x02
 // traceHeaderLen is the size of the optional trace header.
 const traceHeaderLen = 16 + 8
 
-// ErrNotBinary reports a connection preamble that is not the binary
-// magic — the peer is speaking a legacy protocol.
+// ErrNotBinary reports a connection preamble that is not the hello.
 var ErrNotBinary = errors.New("wire: not a binary-protocol connection")
 
 // ErrVersion reports a binary peer speaking an unsupported framing
@@ -126,14 +123,6 @@ func ReadHello(r io.Reader) (uint8, error) {
 		return 0, ErrNotBinary
 	}
 	return b[len(Magic)], nil
-}
-
-// IsMagic reports whether prefix (at least len(Magic) bytes of a
-// connection's first read) opens a binary connection. Servers peek
-// this to auto-negotiate between the binary framing and the legacy
-// protocol.
-func IsMagic(prefix []byte) bool {
-	return len(prefix) >= len(Magic) && string(prefix[:len(Magic)]) == Magic
 }
 
 // WriteFrame encodes one frame, emitting the trace header (and setting
@@ -400,6 +389,15 @@ func AppendBool(b []byte, v bool) []byte {
 // Client-side multiplexing
 // ---------------------------------------------------------------------
 
+// ErrConnLost reports a call whose connection failed under it: the
+// request frame could not be written, or the connection closed before
+// the response was complete. The request may or may not have run.
+var ErrConnLost = errors.New("wire: connection lost")
+
+// errNoResponse is pendingCall.next's report of a wait that outlived
+// the mux's per-call timeout; Stream.Next names the server in it.
+var errNoResponse = errors.New("no response")
+
 // pendingCall collects the response frames for one request ID without
 // ever blocking the connection's reader: frames queue under the call's
 // own lock and a 1-slot ready channel wakes the waiter.
@@ -437,9 +435,13 @@ func (pc *pendingCall) wake() {
 	}
 }
 
-// next returns the next queued frame, waiting for the reader or for
-// ctx. After a connection failure it returns the recorded error.
-func (pc *pendingCall) next(ctx context.Context) (Frame, error) {
+// next returns the next queued frame, waiting for the reader, for ctx,
+// and — when ctx has no deadline — at most timeout (0 = unbounded),
+// which then fails with errNoResponse. After a connection failure it
+// returns the recorded error.
+func (pc *pendingCall) next(ctx context.Context, timeout time.Duration) (Frame, error) {
+	var expired <-chan time.Time
+	armed := false
 	for {
 		pc.mu.Lock()
 		if len(pc.frames) > 0 {
@@ -453,19 +455,34 @@ func (pc *pendingCall) next(ctx context.Context) (Frame, error) {
 		if err != nil {
 			return Frame{}, err
 		}
+		if !armed {
+			// The timer is armed only once the caller has to wait, so a
+			// response already queued costs no timer.
+			armed = true
+			if _, ok := ctx.Deadline(); !ok && timeout > 0 {
+				t := time.NewTimer(timeout)
+				defer t.Stop()
+				expired = t.C
+			}
+		}
 		select {
 		case <-pc.ready:
 		case <-ctx.Done():
 			return Frame{}, ctx.Err()
+		case <-expired:
+			return Frame{}, errNoResponse
 		}
 	}
 }
 
 // Mux is the client side of one multiplexed binary connection: it
-// assigns request IDs, serializes frame writes, and demultiplexes
-// response frames to their callers by ID. It re-dials lazily after
-// failures; in-flight calls on a dying connection fail fast rather
-// than retry (the request may have executed).
+// assigns request IDs, writes frames through a FrameWriter, and
+// demultiplexes response frames to their callers by ID. It re-dials
+// lazily after failures. A call whose connection dies under it fails
+// with ErrConnLost, unless the caller marked the request idempotent
+// and no response frame had arrived yet: such a call is sent once more
+// on a fresh connection, so the first request after a server restart
+// or drain does not fail.
 type Mux struct {
 	addr       string
 	timeout    time.Duration
@@ -473,16 +490,16 @@ type Mux struct {
 
 	mu      sync.Mutex // guards conn lifecycle and pending
 	conn    net.Conn
-	w       *bufio.Writer
-	wmu     sync.Mutex   // serializes frame writes + flushes
-	writers atomic.Int64 // senders in flight, for flush coalescing
+	w       *FrameWriter
 	pending map[uint64]*pendingCall
 	nextID  uint64
 	gen     uint64 // bumped every re-dial, keys reader teardown
 }
 
-// NewMux returns a lazy client mux for the server at addr. maxPayload
-// bounds one received frame's payload.
+// NewMux returns a lazy client mux for the server at addr. timeout
+// bounds the dial, each frame write, and each wait for a response
+// frame when the call's context has no deadline of its own.
+// maxPayload bounds one received frame's payload.
 func NewMux(addr string, timeout time.Duration, maxPayload uint32) *Mux {
 	return &Mux{addr: addr, timeout: timeout, maxPayload: maxPayload}
 }
@@ -490,7 +507,7 @@ func NewMux(addr string, timeout time.Duration, maxPayload uint32) *Mux {
 // Addr returns the server address the mux dials.
 func (m *Mux) Addr() string { return m.addr }
 
-// SetTimeout changes the dial / per-call default timeout.
+// SetTimeout changes the per-call timeout (see NewMux).
 func (m *Mux) SetTimeout(d time.Duration) {
 	m.mu.Lock()
 	m.timeout = d
@@ -547,7 +564,7 @@ func (m *Mux) ensureLocked(ctx context.Context) error {
 	}
 	conn.SetDeadline(time.Time{})
 	m.conn = conn
-	m.w = bufio.NewWriter(conn)
+	m.w = NewFrameWriter(conn)
 	m.pending = make(map[uint64]*pendingCall)
 	m.gen++
 	go m.readLoop(conn, m.gen)
@@ -584,7 +601,7 @@ func (m *Mux) readLoop(conn net.Conn, gen uint64) {
 	}
 	m.mu.Lock()
 	if m.gen == gen {
-		m.dropLocked(fmt.Errorf("wire: %s: connection lost: %w", m.addr, cause))
+		m.dropLocked(fmt.Errorf("%w: %s: %w", ErrConnLost, m.addr, cause))
 	}
 	m.mu.Unlock()
 }
@@ -592,10 +609,62 @@ func (m *Mux) readLoop(conn net.Conn, gen uint64) {
 // Stream is the response side of one call: a sequence of frames ending
 // with FlagFinal.
 type Stream struct {
-	m    *Mux
-	id   uint64
-	pc   *pendingCall
-	done bool
+	m       *Mux
+	sc      obs.SpanContext
+	typ     uint8
+	payload []byte
+	retry   bool // idempotent and not yet re-sent
+
+	id      uint64
+	pc      *pendingCall
+	timeout time.Duration
+	started bool // a response frame has arrived
+	done    bool
+}
+
+// send writes the request frame under a fresh ID, dialing first when
+// no connection is live. A write failure drops the connection and
+// reports ErrConnLost; dial errors are returned as they are.
+func (s *Stream) send(ctx context.Context) error {
+	m := s.m
+	m.mu.Lock()
+	if err := m.ensureLocked(ctx); err != nil {
+		m.mu.Unlock()
+		return err
+	}
+	m.nextID++
+	s.id = m.nextID
+	s.pc = newPendingCall()
+	m.pending[s.id] = s.pc
+	conn, w := m.conn, m.w
+	s.timeout = m.timeout
+	m.mu.Unlock()
+
+	dl, ok := ctx.Deadline()
+	if !ok && s.timeout > 0 {
+		dl = time.Now().Add(s.timeout)
+	}
+	err := w.SendBy(Frame{Type: s.typ, ID: s.id, Flags: FlagFinal, Trace: s.sc.Trace, Span: s.sc.Span, Payload: s.payload}, dl)
+	if err != nil {
+		err = fmt.Errorf("%w: %s: write: %w", ErrConnLost, m.addr, err)
+		m.mu.Lock()
+		if m.conn == conn {
+			m.dropLocked(err)
+		}
+		m.mu.Unlock()
+	}
+	return err
+}
+
+// mayRetry reports whether a call that failed with err gets its one
+// re-send: it must be idempotent, not yet re-sent, without any response
+// frame, its connection lost, and its context still live.
+func (s *Stream) mayRetry(ctx context.Context, err error) bool {
+	if !s.retry || s.started || ctx.Err() != nil || !errors.Is(err, ErrConnLost) {
+		return false
+	}
+	s.retry = false
+	return true
 }
 
 // Next returns the next response frame. After the FlagFinal frame has
@@ -604,11 +673,20 @@ func (s *Stream) Next(ctx context.Context) (Frame, error) {
 	if s.done {
 		return Frame{}, io.EOF
 	}
-	f, err := s.pc.next(ctx)
+	f, err := s.pc.next(ctx, s.timeout)
+	if err != nil && s.mayRetry(ctx, err) {
+		if err = s.send(ctx); err == nil {
+			f, err = s.pc.next(ctx, s.timeout)
+		}
+	}
 	if err != nil {
 		s.Cancel()
+		if err == errNoResponse {
+			err = fmt.Errorf("wire: %s: no response within %v: %w", s.m.addr, s.timeout, os.ErrDeadlineExceeded)
+		}
 		return Frame{}, err
 	}
+	s.started = true
 	if f.Final() {
 		s.done = true
 	}
@@ -624,69 +702,30 @@ func (s *Stream) Cancel() {
 }
 
 // Call sends one request frame (the mux assigns its ID) and returns
-// the response stream. When ctx carries a span context (obs.ContextWith
-// / Tracer.StartCtx), it rides the frame as the FlagTrace header, so
-// the server joins the caller's trace. Dial errors are returned as-is
-// so callers can retry idempotent requests; write errors drop the
-// connection.
-func (m *Mux) Call(ctx context.Context, typ uint8, payload []byte) (*Stream, error) {
-	sc, _ := obs.FromContext(ctx)
-	return m.CallSC(ctx, sc, typ, payload)
-}
-
-// CallSC is Call with the span context supplied explicitly, for callers
-// that already hold it — re-extracting it from ctx on every RPC is
-// measurable on the hot path. A zero sc sends an untraced frame.
-func (m *Mux) CallSC(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte) (*Stream, error) {
-	m.mu.Lock()
-	if err := m.ensureLocked(ctx); err != nil {
-		m.mu.Unlock()
-		return nil, err
+// the response stream. A non-zero sc rides the frame as the FlagTrace
+// header, so the server joins the caller's trace; callers pass the
+// span context they already hold, since re-extracting it from ctx on
+// every RPC is measurable on the hot path. idempotent marks a request
+// that is safe to run twice (a read, a search, a ping): if its
+// connection is lost before any response frame arrives, it is sent
+// once more on a fresh connection. Dial errors are returned as they
+// are.
+func (m *Mux) Call(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte, idempotent bool) (*Stream, error) {
+	s := &Stream{m: m, sc: sc, typ: typ, payload: payload, retry: idempotent}
+	err := s.send(ctx)
+	if err != nil && s.mayRetry(ctx, err) {
+		err = s.send(ctx)
 	}
-	m.nextID++
-	id := m.nextID
-	pc := newPendingCall()
-	m.pending[id] = pc
-	conn, w := m.conn, m.w
-	m.mu.Unlock()
-
-	// Coalesced writes: frames from concurrent callers accumulate in
-	// the buffered writer, and only the last sender in the pack pays
-	// for the flush — one syscall carries a whole batch of requests.
-	m.writers.Add(1)
-	m.wmu.Lock()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetWriteDeadline(dl)
-	} else if m.timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(m.timeout))
-	}
-	err := WriteFrame(w, Frame{Type: typ, ID: id, Flags: FlagFinal, Trace: sc.Trace, Span: sc.Span, Payload: payload})
-	if m.writers.Add(-1) == 0 && err == nil {
-		err = w.Flush()
-	}
-	conn.SetWriteDeadline(time.Time{})
-	m.wmu.Unlock()
 	if err != nil {
-		m.mu.Lock()
-		if m.conn == conn {
-			m.dropLocked(fmt.Errorf("wire: %s: write: %w", m.addr, err))
-		}
-		m.mu.Unlock()
 		return nil, err
 	}
-	return &Stream{m: m, id: id, pc: pc}, nil
+	return s, nil
 }
 
-// CallOne performs a single-frame request/response round trip.
-func (m *Mux) CallOne(ctx context.Context, typ uint8, payload []byte) (Frame, error) {
-	sc, _ := obs.FromContext(ctx)
-	return m.CallOneSC(ctx, sc, typ, payload)
-}
-
-// CallOneSC is CallOne with the span context supplied explicitly (see
-// CallSC).
-func (m *Mux) CallOneSC(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte) (Frame, error) {
-	st, err := m.CallSC(ctx, sc, typ, payload)
+// CallOne performs a single-frame request/response round trip (see
+// Call).
+func (m *Mux) CallOne(ctx context.Context, sc obs.SpanContext, typ uint8, payload []byte, idempotent bool) (Frame, error) {
+	st, err := m.Call(ctx, sc, typ, payload, idempotent)
 	if err != nil {
 		return Frame{}, err
 	}

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,8 +40,8 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameTraceRoundTrip: a frame with a span context grows a trace
-// header and reads back identically; a traceless frame stays at the
-// pre-trace encoding (10-byte header, no flag) so legacy peers parse it.
+// header and reads back identically; a traceless frame keeps the plain
+// 10-byte header with the flag clear.
 func TestFrameTraceRoundTrip(t *testing.T) {
 	trace := obs.NewTraceID()
 	var buf bytes.Buffer
@@ -117,7 +119,7 @@ func TestHello(t *testing.T) {
 	if err := WriteHello(&buf, 3); err != nil {
 		t.Fatal(err)
 	}
-	if !IsMagic(buf.Bytes()) {
+	if !strings.HasPrefix(buf.String(), Magic) {
 		t.Fatal("hello does not carry the magic")
 	}
 	v, err := ReadHello(&buf)
@@ -125,10 +127,10 @@ func TestHello(t *testing.T) {
 		t.Fatalf("ReadHello = %d, %v", v, err)
 	}
 	if _, err := ReadHello(strings.NewReader("PING\n")); !errors.Is(err, ErrNotBinary) {
-		t.Fatalf("line-protocol preamble: err = %v, want ErrNotBinary", err)
+		t.Fatalf("non-hello preamble: err = %v, want ErrNotBinary", err)
 	}
-	if IsMagic([]byte("PING")) || IsMagic([]byte("HA")) {
-		t.Fatal("IsMagic false positive")
+	if _, err := ReadHello(strings.NewReader("HA")); err == nil {
+		t.Fatal("short preamble accepted")
 	}
 }
 
@@ -179,44 +181,27 @@ func TestDecBounded(t *testing.T) {
 	}
 }
 
-// echoServer speaks the framing: hello exchange, then echoes every
-// request payload back on its ID, optionally split into two frames.
+// echoServer serves the framing through ConnServer and ServeConn,
+// echoing every request payload back on its ID, optionally split into
+// two frames.
 func echoServer(t *testing.T, split bool) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
+	srv := NewConnServer(func(conn net.Conn) {
+		ServeConn(conn, 0xff, 1<<20, 8, func(w *FrameWriter, f Frame) {
+			if split && len(f.Payload) > 1 {
+				w.Send(Frame{Type: f.Type, ID: f.ID, Payload: f.Payload[:1]})
+				w.Send(Frame{Type: f.Type, ID: f.ID, Flags: FlagFinal, Payload: f.Payload[1:]})
 				return
 			}
-			go func() {
-				defer conn.Close()
-				if _, err := ReadHello(conn); err != nil {
-					return
-				}
-				if err := WriteHello(conn, Version); err != nil {
-					return
-				}
-				for {
-					f, err := ReadFrame(conn, 1<<20)
-					if err != nil {
-						return
-					}
-					if split && len(f.Payload) > 1 {
-						WriteFrame(conn, Frame{Type: f.Type, ID: f.ID, Payload: f.Payload[:1]})
-						WriteFrame(conn, Frame{Type: f.Type, ID: f.ID, Flags: FlagFinal, Payload: f.Payload[1:]})
-						continue
-					}
-					WriteFrame(conn, Frame{Type: f.Type, ID: f.ID, Flags: FlagFinal, Payload: f.Payload})
-				}
-			}()
-		}
-	}()
+			w.Send(Frame{Type: f.Type, ID: f.ID, Flags: FlagFinal, Payload: f.Payload})
+		})
+	})
+	go srv.Serve(l)
+	t.Cleanup(srv.Close)
 	return l.Addr().String()
 }
 
@@ -230,7 +215,7 @@ func TestMuxConcurrentCalls(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			payload := []byte{byte(i), byte(i >> 8)}
-			f, err := m.CallOne(ctx, 9, payload)
+			f, err := m.CallOne(ctx, obs.SpanContext{}, 9, payload, false)
 			if err == nil && !bytes.Equal(f.Payload, payload) {
 				err = errors.New("payload mismatch across IDs")
 			}
@@ -249,7 +234,7 @@ func TestMuxStreamedResponse(t *testing.T) {
 	m := NewMux(addr, 5*time.Second, 1<<20)
 	defer m.Close()
 	ctx := context.Background()
-	st, err := m.Call(ctx, 3, []byte("xyz"))
+	st, err := m.Call(ctx, obs.SpanContext{}, 3, []byte("xyz"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +273,7 @@ func TestMuxVersionMismatch(t *testing.T) {
 	}()
 	m := NewMux(l.Addr().String(), 2*time.Second, 1<<20)
 	defer m.Close()
-	if _, err := m.CallOne(context.Background(), 1, nil); !errors.Is(err, ErrVersion) {
+	if _, err := m.CallOne(context.Background(), obs.SpanContext{}, 1, nil, false); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
@@ -313,7 +298,110 @@ func TestMuxConnectionLossFailsPending(t *testing.T) {
 	defer m.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := m.CallOne(ctx, 1, nil); err == nil {
-		t.Fatal("call on dead connection succeeded")
+	if _, err := m.CallOne(ctx, obs.SpanContext{}, 1, nil, false); !errors.Is(err, ErrConnLost) {
+		t.Fatalf("err = %v, want ErrConnLost", err)
+	}
+}
+
+// dropFirstServer answers the hello on its first connection, reads one
+// request and closes without replying — a server restarting under a
+// client. Later connections echo. It returns the address and a count
+// of the request frames it has read.
+func dropFirstServer(t *testing.T) (string, *atomic.Int64) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var reqs atomic.Int64
+	go func() {
+		for first := true; ; first = false {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			if first {
+				ReadHello(conn)
+				WriteHello(conn, Version)
+				if _, err := ReadFrame(conn, 1<<20); err == nil {
+					reqs.Add(1)
+				}
+				conn.Close()
+				continue
+			}
+			go func() {
+				defer conn.Close()
+				ServeConn(conn, 0xff, 1<<20, 8, func(w *FrameWriter, f Frame) {
+					reqs.Add(1)
+					w.Send(Frame{Type: f.Type, ID: f.ID, Flags: FlagFinal, Payload: f.Payload})
+				})
+			}()
+		}
+	}()
+	return l.Addr().String(), &reqs
+}
+
+func TestMuxRetriesIdempotentCallOnLostConnection(t *testing.T) {
+	addr, reqs := dropFirstServer(t)
+	m := NewMux(addr, 5*time.Second, 1<<20)
+	defer m.Close()
+	f, err := m.CallOne(context.Background(), obs.SpanContext{}, 4, []byte("again"), true)
+	if err != nil {
+		t.Fatalf("idempotent call after a lost connection: %v", err)
+	}
+	if string(f.Payload) != "again" {
+		t.Fatalf("payload = %q", f.Payload)
+	}
+	if n := reqs.Load(); n != 2 {
+		t.Fatalf("server read %d requests, want 2 (the lost one and its re-send)", n)
+	}
+}
+
+func TestMuxDoesNotRetryNonIdempotentCall(t *testing.T) {
+	addr, reqs := dropFirstServer(t)
+	m := NewMux(addr, 5*time.Second, 1<<20)
+	defer m.Close()
+	_, err := m.CallOne(context.Background(), obs.SpanContext{}, 4, []byte("once"), false)
+	if !errors.Is(err, ErrConnLost) {
+		t.Fatalf("err = %v, want ErrConnLost", err)
+	}
+	if n := reqs.Load(); n != 1 {
+		t.Fatalf("server read %d requests, want 1", n)
+	}
+	// The mux re-dials for the next call.
+	if _, err := m.CallOne(context.Background(), obs.SpanContext{}, 4, []byte("next"), false); err != nil {
+		t.Fatalf("call after re-dial: %v", err)
+	}
+}
+
+// TestMuxTimeoutBoundsSilentServer: a server that completes the hello
+// and never answers fails a call whose context has no deadline after
+// the mux's timeout, with a deadline error.
+func TestMuxTimeoutBoundsSilentServer(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		ReadHello(conn)
+		WriteHello(conn, Version)
+		io.Copy(io.Discard, conn) // read requests, answer none
+	}()
+	m := NewMux(l.Addr().String(), 100*time.Millisecond, 1<<20)
+	defer m.Close()
+	start := time.Now()
+	_, err = m.CallOne(context.Background(), obs.SpanContext{}, 1, nil, true)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want os.ErrDeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("call took %v", d)
 	}
 }
