@@ -14,6 +14,8 @@ import (
 //   - I1: every local transient link target lies in the scope provided
 //     by the parent;
 //   - I4: no prohibited target is currently linked;
+//   - I9: a memoized scope valid for the current key equals the scope
+//     computed fresh;
 //   - the physical symlinks in the directory match the classification
 //     exactly (same names, same targets);
 //   - the dependency graph has a node for the directory and an edge to
@@ -53,16 +55,24 @@ func (fs *FS) CheckConsistency() []string {
 		// targets are checked against their namespaces at sync time).
 		// Scope and ID resolution share one snapshot, so a merge
 		// committing mid-audit cannot fabricate a violation.
+		// The parent scope is computed fresh, not taken from its memo.
 		snap := fs.ix.Snapshot()
-		scope := fs.providedScopeLocalLocked(snap, vfs.Dir(dirPath))
+		scope := fs.freshScopeLocked(snap, vfs.Dir(dirPath))
 		for target, class := range ds.class {
 			if class != Transient || IsRemoteTarget(target) {
 				continue
 			}
-			if p, ok := fs.resolveToIndexedLocked(target); ok {
-				if id, ok := snap.IDOf(p); ok && !scope.Contains(id) {
-					report("%s: I1 violated: transient %s outside parent scope", dirPath, target)
-				}
+			if id, ok := fs.resolveIndexedLocked(snap, target); ok && !scope.Contains(id) {
+				report("%s: I1 violated: transient %s outside parent scope", dirPath, target)
+			}
+		}
+		// I9: a memoized scope still valid for its key equals a fresh
+		// computation. Compared only while the index stands at the
+		// snapshot's version, as the memo is only kept then.
+		if m := ds.scope.Load(); m != nil && m.key == fs.scopeKeyLocked(ds, snap) {
+			fresh := fs.semanticScopeLocked(snap, ds, dirPath)
+			if fs.ix.Version() == snap.Version() && !fresh.Equal(m.set) {
+				report("%s: I9 violated: memoized scope (%d docs) differs from a fresh one (%d docs)", dirPath, m.set.Len(), fresh.Len())
 			}
 		}
 		// I4: prohibited ∩ linked = ∅.

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hacfs/internal/depgraph"
@@ -95,6 +96,11 @@ type dirState struct {
 	class      map[string]LinkClass // transient and permanent links
 	prohibited map[string]bool
 	linkName   map[string]string // target → symlink base name
+
+	// scope memoizes the scope this directory provides while it is
+	// semantic (providedScopeLocalLocked). Readers holding fs.mu for
+	// reading may fill it; the set it holds is shared and read-only.
+	scope atomic.Pointer[scopeMemo]
 }
 
 func newDirState(uid uint64) *dirState {
@@ -435,11 +441,17 @@ func (fs *FS) Open(path string) (vfs.File, error) {
 // descriptor table and keeping the attribute cache coherent.
 func (fs *FS) OpenFile(path string, flag int) (vfs.File, error) {
 	fs.resolvePath(path)
-	f, err := fs.under.OpenFile(path, flag)
+	clean, _ := vfs.Clean(path)
+	var f vfs.File
+	var err error
+	if flag&vfs.OCreate != 0 && fs.IsSemantic(vfs.Dir(clean)) {
+		f, err = fs.createInSemanticDir(clean, flag)
+	} else {
+		f, err = fs.under.OpenFile(path, flag)
+	}
 	if err != nil {
 		return nil, err
 	}
-	clean, _ := vfs.Clean(path)
 	if flag&(vfs.OWrite|vfs.OTrunc) != 0 {
 		fs.attrs.invalidate(clean)
 	}
@@ -448,6 +460,32 @@ func (fs *FS) OpenFile(path string, flag int) (vfs.File, error) {
 		fs.attrs.put(clean, info)
 	}
 	return &trackedFile{File: f, fs: fs, path: clean}, nil
+}
+
+// createInSemanticDir opens clean with OCreate inside a semantic
+// directory. The regular files physically in a semantic directory are
+// part of the scope it provides, so creating a new name there changes
+// that scope (the path may still be indexed from before a removal);
+// rewriting an existing file does not.
+func (fs *FS) createInSemanticDir(clean string, flag int) (vfs.File, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	_, lerr := fs.under.Lstat(clean)
+	f, err := fs.under.OpenFile(clean, flag)
+	if err == nil && isNotExist(lerr) {
+		fs.gen++ // evaluations staged against the old scope are stale
+		fs.fileMovedLocked(vfs.Dir(clean))
+	}
+	return f, err
+}
+
+// fileMovedLocked records that a regular file entered or left dir: if
+// dir is semantic, the scope it provides changed. Caller holds fs.mu for
+// writing.
+func (fs *FS) fileMovedLocked(dir string) {
+	if ds, ok := fs.stateAtLocked(dir); ok && ds.semantic {
+		fs.bumpScopeEpochLocked(ds.uid)
+	}
 }
 
 // ReadFile returns the contents of the file at path. As in the paper,
@@ -621,6 +659,9 @@ func (fs *FS) removeLocked(clean string, recursive bool) error {
 		return err
 	}
 	fs.attrs.invalidatePrefix(clean)
+	if lerr == nil && info.Type == vfs.TypeFile {
+		fs.fileMovedLocked(dir)
+	}
 
 	if prohibitIn != nil {
 		if _, had := prohibitIn.class[prohibitTarget]; had {
@@ -758,6 +799,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	// Regular file moved: the index follows immediately; link targets
 	// pointing at the file are rewritten for the same reason as above.
 	// Content re-checks remain lazy (§2.4).
+	if statErr == nil && info.Type == vfs.TypeFile {
+		fs.fileMovedLocked(oldDir)
+		fs.fileMovedLocked(newDir)
+	}
 	fs.ix.RenamePath(oldClean, newClean)
 	return fs.rewriteTargetsLocked(oldClean, newClean)
 }
@@ -826,8 +871,10 @@ func (fs *FS) Stat(path string) (vfs.Info, error) {
 		return vfs.Info{}, &vfs.PathError{Op: "stat", Path: path, Err: err}
 	}
 	if info, ok := fs.attrs.get(clean); ok {
+		fs.met.attrHits.Inc()
 		return info, nil
 	}
+	fs.met.attrMisses.Inc()
 	fs.resolvePath(clean)
 	info, err := fs.under.Stat(clean)
 	if err != nil {

@@ -43,6 +43,14 @@ type fsMetrics struct {
 	planCacheMisses *obs.Counter // hac_plan_cache_misses_total
 	postingsSkipped *obs.Counter // hac_postings_skipped_total
 
+	// Memoized semantic-directory scopes (providedScopeLocalLocked).
+	scopeMemoHits   *obs.Counter // hac_scope_memo_hits_total
+	scopeMemoMisses *obs.Counter // hac_scope_memo_misses_total
+
+	// Attribute cache, summed over every volume on the observer.
+	attrHits   *obs.Counter // hac_attr_cache_hits_total
+	attrMisses *obs.Counter // hac_attr_cache_misses_total
+
 	// Evaluation worker pool.
 	workersBusy *obs.Gauge // hac_eval_workers_busy
 	queueDepth  *obs.Gauge // hac_eval_queue_depth
@@ -86,6 +94,12 @@ func newFSMetrics(o *obs.Observer) *fsMetrics {
 		planCacheMisses: r.Counter("hac_plan_cache_misses_total"),
 		postingsSkipped: r.Counter("hac_postings_skipped_total"),
 
+		scopeMemoHits:   r.Counter("hac_scope_memo_hits_total"),
+		scopeMemoMisses: r.Counter("hac_scope_memo_misses_total"),
+
+		attrHits:   r.Counter("hac_attr_cache_hits_total"),
+		attrMisses: r.Counter("hac_attr_cache_misses_total"),
+
 		workersBusy: r.Gauge("hac_eval_workers_busy"),
 		queueDepth:  r.Gauge("hac_eval_queue_depth"),
 
@@ -112,14 +126,6 @@ func (fs *FS) registerVolumeGauges(o *obs.Observer) {
 	})
 	r.GaugeFunc("hac_open_handles", func() float64 {
 		return float64(fs.fds.open64.Load())
-	})
-	r.GaugeFunc("hac_attr_cache_hits", func() float64 {
-		h, _ := fs.attrs.stats()
-		return float64(h)
-	})
-	r.GaugeFunc("hac_attr_cache_misses", func() float64 {
-		_, m := fs.attrs.stats()
-		return float64(m)
 	})
 }
 

@@ -310,6 +310,11 @@ func (fs *FS) commitTargetsLocked(ds *dirState, newTargets map[string]bool) erro
 			return err
 		}
 	}
+	if len(drop)+len(add)+len(repair) > 0 {
+		// A link chain from another directory may pass through these
+		// symlinks; its memoized scope is keyed on gen.
+		fs.gen++
+	}
 	fs.met.linksRepaired.Add(int64(len(repair)))
 	fs.met.phaseRepair.ObserveSince(repairStart)
 	return nil
@@ -344,54 +349,116 @@ func verifyMatches(fsys vfs.FileSystem, paths []string, terms []string) int {
 //     file in its subtree.
 //
 // The scope is resolved against snap, so it composes with query results
-// evaluated against the same snapshot. Caller holds fs.mu.
+// evaluated against the same snapshot. A semantic directory's scope is
+// memoized on its dirState (see scopeKey) and the returned set is then
+// shared: callers must treat it as read-only. Caller holds fs.mu.
 func (fs *FS) providedScopeLocalLocked(snap *index.Snapshot, dirPath string) *bitset.Segmented {
 	ds, ok := fs.stateAtLocked(dirPath)
 	if !ok || !ds.semantic {
 		return snap.DocsUnder(dirPath)
 	}
-	var paths []string
+	key := fs.scopeKeyLocked(ds, snap)
+	if m := ds.scope.Load(); m != nil && m.key == key {
+		fs.met.scopeMemoHits.Add(1)
+		return m.set
+	}
+	fs.met.scopeMemoMisses.Add(1)
+	set := fs.semanticScopeLocked(snap, ds, dirPath)
+	// Snapshot ID lookups read the index's live path table, so a set
+	// computed while the index moved past the pin is not a function of
+	// the key; use it, but do not keep it.
+	if fs.ix.Version() == key.version {
+		ds.scope.Store(&scopeMemo{key: key, set: set})
+	}
+	return set
+}
+
+// freshScopeLocked is providedScopeLocalLocked without the memo. Caller
+// holds fs.mu.
+func (fs *FS) freshScopeLocked(snap *index.Snapshot, dirPath string) *bitset.Segmented {
+	if ds, ok := fs.stateAtLocked(dirPath); ok && ds.semantic {
+		return fs.semanticScopeLocked(snap, ds, dirPath)
+	}
+	return snap.DocsUnder(dirPath)
+}
+
+// scopeKey is what a semantic directory's provided scope depends on:
+//
+//   - scopeEpoch: its link set (bumped on every link change, and when a
+//     regular file enters or leaves the directory);
+//   - gen: every other volume mutation, including physical symlinks in
+//     other directories that a link chain may pass through;
+//   - epoch and version: the snapshot's ID space and liveness.
+type scopeKey struct {
+	scopeEpoch, gen, epoch, version uint64
+}
+
+// scopeMemo is one memoized provided scope and the key it is valid for.
+type scopeMemo struct {
+	key scopeKey
+	set *bitset.Segmented
+}
+
+// scopeKeyLocked returns the key ds's scope has when resolved against
+// snap. Caller holds fs.mu.
+func (fs *FS) scopeKeyLocked(ds *dirState, snap *index.Snapshot) scopeKey {
+	return scopeKey{
+		scopeEpoch: fs.scopeEpoch[ds.uid],
+		gen:        fs.gen,
+		epoch:      snap.Epoch(),
+		version:    snap.Version(),
+	}
+}
+
+// semanticScopeLocked computes a semantic directory's provided scope
+// from scratch, in one pass and one ID lookup per link and per regular
+// file. Caller holds fs.mu.
+func (fs *FS) semanticScopeLocked(snap *index.Snapshot, ds *dirState, dirPath string) *bitset.Segmented {
+	out := bitset.NewSegmented()
 	for t := range ds.class {
-		if _, _, remote := splitRemoteTarget(t); remote {
+		if IsRemoteTarget(t) {
 			continue
 		}
-		if p, ok := fs.resolveToIndexedLocked(t); ok {
-			paths = append(paths, p)
+		if id, ok := fs.resolveIndexedLocked(snap, t); ok {
+			out.Add(id)
 		}
 	}
 	if entries, err := fs.under.ReadDir(dirPath); err == nil {
 		for _, e := range entries {
-			if e.Type == vfs.TypeFile {
-				paths = append(paths, vfs.Join(dirPath, e.Name))
+			if e.Type != vfs.TypeFile {
+				continue
+			}
+			if id, ok := snap.IDOf(vfs.Join(dirPath, e.Name)); ok {
+				out.Add(id)
 			}
 		}
 	}
-	return snap.IDsOf(paths)
+	return out
 }
 
-// resolveToIndexedLocked maps a link target to an indexed document
-// path, following symlink chains (a link in one semantic directory may
-// point at a link in another). Caller holds fs.mu.
-func (fs *FS) resolveToIndexedLocked(target string) (string, bool) {
+// resolveIndexedLocked maps a link target to the ID of an indexed
+// document in snap, following symlink chains (a link in one semantic
+// directory may point at a link in another). Caller holds fs.mu.
+func (fs *FS) resolveIndexedLocked(snap *index.Snapshot, target string) (index.DocID, bool) {
 	p := target
 	for depth := 0; depth < 10; depth++ {
-		if _, ok := fs.ix.IDOf(p); ok {
-			return p, true
+		if id, ok := snap.IDOf(p); ok {
+			return id, true
 		}
 		info, err := fs.under.Lstat(p)
 		if err != nil || info.Type != vfs.TypeSymlink {
-			return "", false
+			return 0, false
 		}
 		next, err := fs.under.Readlink(p)
 		if err != nil {
-			return "", false
+			return 0, false
 		}
 		if !vfs.IsAbs(next) {
 			next = vfs.Join(vfs.Dir(p), next)
 		}
 		p = next
 	}
-	return "", false
+	return 0, false
 }
 
 // evalEnv adapts the CBA engine and directory scopes to the query
@@ -419,7 +486,8 @@ func (e *evalEnv) DirRef(ref *query.DirRef) (*bitset.Segmented, error) {
 	if !ok {
 		return nil, &vfs.PathError{Op: "eval", Path: fmt.Sprintf("dir:#%d", ref.UID), Err: ErrDanglingRef}
 	}
-	return e.fs.providedScopeLocalLocked(e.snap, p), nil
+	// query.Eval combines results in place; the scope may be shared.
+	return e.fs.providedScopeLocalLocked(e.snap, p).Clone(), nil
 }
 
 // IndexReport summarizes a Reindex run.

@@ -423,14 +423,3 @@ func (sn *Snapshot) idOfLocked(path string) (DocID, bool) {
 	}
 	return 0, false
 }
-
-// IDsOf maps paths to their pinned document IDs (see IDOf).
-func (sn *Snapshot) IDsOf(paths []string) *bitset.Segmented {
-	out := bitset.NewSegmented()
-	for _, p := range paths {
-		if id, ok := sn.IDOf(p); ok {
-			out.Add(id)
-		}
-	}
-	return out
-}

@@ -314,15 +314,12 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labelKV ...string) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := name + labels.render()
-	m, ok := r.metrics[key]
-	if !ok {
-		m = &metric{name: name, labels: labels}
-		r.metrics[key] = m
+	if _, ok := r.metrics[key]; !ok {
 		r.order = append(r.order, key)
 	}
-	m.kind = "gauge"
-	m.fn = fn
-	m.gauge = nil
+	// A fresh metric rather than an in-place update: scrapes read the
+	// metrics they snapshotted without holding r.mu.
+	r.metrics[key] = &metric{name: name, labels: labels, kind: "gauge", fn: fn}
 }
 
 // Histogram returns the histogram with the given name, bounds and

@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -862,7 +863,7 @@ func (fs *FS) ReadDir(p string) ([]vfs.DirEntry, error) {
 	for _, c := range n.children {
 		out = append(out, vfs.DirEntry{Name: c.name, Type: c.typ, Ino: c.id})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b vfs.DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -579,7 +580,7 @@ func (fs *MemFS) ReadDir(p string) ([]DirEntry, error) {
 	for _, c := range t.n.children {
 		out = append(out, DirEntry{Name: c.name, Type: c.typ, Ino: c.ino})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, entryByName)
 	return out, nil
 }
 

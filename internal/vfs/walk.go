@@ -2,7 +2,9 @@ package vfs
 
 import (
 	"errors"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // SkipDir can be returned by a WalkFunc to skip the current directory's
@@ -40,7 +42,11 @@ func walk(fsys FileSystem, p string, info Info, fn WalkFunc) error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+	// The in-memory substrates already list in name order; only sort
+	// what arrives unsorted (a remote or foreign FileSystem).
+	if !slices.IsSortedFunc(entries, entryByName) {
+		slices.SortFunc(entries, entryByName)
+	}
 	for _, e := range entries {
 		child := Join(p, e.Name)
 		ci, err := fsys.Lstat(child)
@@ -60,6 +66,9 @@ func walk(fsys FileSystem, p string, info Info, fn WalkFunc) error {
 	}
 	return nil
 }
+
+// entryByName orders directory entries by name.
+func entryByName(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) }
 
 // Files returns the paths of all regular files under root, sorted.
 func Files(fsys FileSystem, root string) ([]string, error) {
